@@ -14,6 +14,7 @@
 package dcg_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -446,6 +447,54 @@ func BenchmarkReplayPackedParallel(b *testing.B) {
 				}
 				b.ReportMetric(100*results[1].Saving, "dcg-save%")
 			}
+		})
+	}
+}
+
+// loadInsts is dcgserve's default request size (-default-insts), so the
+// trace-load benchmark measures the traces the service actually stores.
+const loadInsts = 300_000
+
+// BenchmarkLoadTrace measures the store-shaped trace load on a real
+// capture at dcgserve's default request size — gzip on the base machine,
+// 300 000 instructions after the default warm-up — once usage-only and
+// once with the latchvalue channel. One op is ReadTrace of the
+// gzip-encoded trace (inflate, then the one-walk validate and decode)
+// followed by the replay's Decode, which the load has made a reuse.
+// Capture and encode run outside the timer. decoded-B/cycle is the
+// retained size of the decode (Decoded.SizeBytes) per trace cycle.
+func BenchmarkLoadTrace(b *testing.B) {
+	sim := core.NewSimulator(core.DefaultMachine())
+	for _, tc := range []struct {
+		name  string
+		extra []string
+	}{
+		{"usage", nil},
+		{"latchvalue", []string{usagetrace.ChannelLatchValue}},
+	} {
+		tm, err := sim.CaptureBenchmark("gzip", loadInsts, tc.extra...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var enc bytes.Buffer
+		if err := tm.Trace.EncodeGzip(&enc); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			var d *usagetrace.Decoded
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr, err := usagetrace.ReadTrace(bytes.NewReader(enc.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if d, err = tr.Decode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(d.SizeBytes())/float64(d.Cycles()), "decoded-B/cycle")
 		})
 	}
 }

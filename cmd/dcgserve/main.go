@@ -88,7 +88,7 @@ func main() {
 		clusterWkrs  = flag.Int("cluster-workers", -1, "embedded cluster worker loops (-1 = GOMAXPROCS, 0 = pure coordinator)")
 		leaseTTL     = flag.Duration("lease-ttl", 10*time.Second, "cluster work-lease TTL; a silent worker's items requeue after this")
 		sweepRetries = flag.Int("sweep-retries", 0, "re-attempts for failed cluster sweep items")
-		replayPar    = flag.Int("replay-par", runtime.GOMAXPROCS(0), "replay/decode worker goroutines per evaluation (1 = serial kernel; see docs/PERFORMANCE.md for the request- vs shard-level parallelism trade-off)")
+		replayPar    = flag.Int("replay-par", runtime.GOMAXPROCS(0), "replay worker goroutines per evaluation (1 = serial kernel; see docs/PERFORMANCE.md for the request- vs shard-level parallelism trade-off)")
 		version      = flag.Bool("version", false, "print build version and exit")
 	)
 	flag.Parse()

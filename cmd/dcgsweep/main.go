@@ -88,7 +88,7 @@ func newRunFlags(name string) *runFlags {
 		traceOut:    fs.String("trace-out", "", "write the job's spans as JSONL to this file on exit (implies tracing)"),
 		cpuprofile:  fs.String("cpuprofile", "", "write a CPU profile to this file"),
 		memprofile:  fs.String("memprofile", "", "write a heap (allocation) profile to this file on exit"),
-		replayPar:   fs.Int("replay-par", runtime.GOMAXPROCS(0), "replay/decode worker goroutines per evaluation (1 = serial kernel)"),
+		replayPar:   fs.Int("replay-par", runtime.GOMAXPROCS(0), "replay worker goroutines per evaluation (1 = serial kernel)"),
 	}
 	if name == "run" {
 		f.spec = fs.String("spec", "", "sweep spec JSON file (required)")

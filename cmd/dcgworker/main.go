@@ -66,7 +66,7 @@ func main() {
 		poll        = flag.Duration("poll", 250*time.Millisecond, "idle re-poll interval when the coordinator has no work")
 		logLevel    = flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 		logFormat   = flag.String("log-format", "text", "log encoding: text or json")
-		replayPar   = flag.Int("replay-par", runtime.GOMAXPROCS(0), "replay/decode worker goroutines per evaluation (1 = serial kernel)")
+		replayPar   = flag.Int("replay-par", runtime.GOMAXPROCS(0), "replay worker goroutines per evaluation (1 = serial kernel)")
 		version     = flag.Bool("version", false, "print build version and exit")
 	)
 	flag.Parse()

@@ -17,7 +17,6 @@ import (
 	"dcg/internal/gating"
 	"dcg/internal/par"
 	"dcg/internal/power"
-	"dcg/internal/usagetrace"
 )
 
 // replayPar is the process-wide default replay worker count; <= 0 means
@@ -26,14 +25,9 @@ var replayPar atomic.Int64
 
 // SetReplayParallelism sets the process-wide replay worker default (the
 // -replay-par flag): how many shards each packed evaluation splits into
-// and how many goroutines serve them. It also sets the usagetrace
-// decode parallelism, so one knob governs both halves of the replay
-// path. n <= 0 restores the default (runtime.GOMAXPROCS); n == 1 forces
-// the serial kernel everywhere.
-func SetReplayParallelism(n int) {
-	replayPar.Store(int64(n))
-	usagetrace.SetDecodeParallelism(n)
-}
+// and how many goroutines serve them. n <= 0 restores the default
+// (runtime.GOMAXPROCS); n == 1 forces the serial kernel everywhere.
+func SetReplayParallelism(n int) { replayPar.Store(int64(n)) }
 
 // ReplayParallelism returns the resolved process-wide replay worker
 // count.

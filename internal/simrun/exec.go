@@ -7,7 +7,6 @@ import (
 
 	"dcg/internal/core"
 	"dcg/internal/obs"
-	"dcg/internal/usagetrace"
 )
 
 // Exec is the two-level simulation executor:
@@ -210,7 +209,6 @@ func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 			// tracing is off.
 			_, dsp := obs.StartSpan(rctx, "trace.decode")
 			dsp.SetAttrInt("trace_bytes", int64(tm.Trace.SizeBytes()))
-			dsp.SetAttrInt("decode_par", int64(usagetrace.DecodeParallelism()))
 			_, derr := tm.Trace.Decode()
 			dsp.SetError(derr)
 			dsp.Finish()

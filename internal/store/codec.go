@@ -3,14 +3,15 @@ package store
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 
 	"dcg/internal/core"
+	"dcg/internal/obs"
 	"dcg/internal/usagetrace"
 )
 
@@ -45,18 +46,17 @@ func encodeResultPayload(r *core.Result) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeResultPayload is the inverse of encodeResultPayload.
+// maxResultBytes caps a result payload's inflated JSON. A result is a
+// few kilobytes; the cap only stops a corrupt or hostile payload from
+// inflating without bound. A var so a test can lower it.
+var maxResultBytes int64 = 64 << 20
+
+// decodeResultPayload is the inverse of encodeResultPayload. A payload
+// that inflates past maxResultBytes fails with usagetrace.ErrTooLarge.
 func decodeResultPayload(payload []byte) (*core.Result, error) {
-	gz, err := gzip.NewReader(bytes.NewReader(payload))
+	raw, err := usagetrace.Gunzip(payload, maxResultBytes)
 	if err != nil {
-		return nil, fmt.Errorf("result payload not gzip: %w", err)
-	}
-	raw, err := io.ReadAll(gz)
-	if err == nil {
-		err = gz.Close()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("result gzip stream: %w", err)
+		return nil, fmt.Errorf("result payload: %w", err)
 	}
 	res := new(core.Result)
 	if err := json.Unmarshal(raw, res); err != nil {
@@ -109,8 +109,11 @@ func encodeTimingPayload(t *core.Timing) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeTimingPayload is the inverse of encodeTimingPayload.
-func decodeTimingPayload(payload []byte) (*core.Timing, error) {
+// decodeTimingPayload is the inverse of encodeTimingPayload. It inflates
+// the trace, then validates and decodes it in one walk under a
+// trace.decode span, so the loaded trace arrives decoded and the span
+// reports decode time apart from the read, CRC and inflate around it.
+func decodeTimingPayload(ctx context.Context, payload []byte) (*core.Timing, error) {
 	metaLen, n := binary.Uvarint(payload)
 	if n <= 0 || metaLen > uint64(len(payload)-n) {
 		return nil, errors.New("timing meta length out of range")
@@ -133,7 +136,18 @@ func decodeTimingPayload(payload []byte) (*core.Timing, error) {
 	if err := json.Unmarshal(meta.CPUStats, &tm.CPUStats); err != nil {
 		return nil, fmt.Errorf("timing cpu stats JSON: %w", err)
 	}
-	tr, err := usagetrace.ReadTrace(bytes.NewReader(payload[n+int(metaLen):]))
+	raw, err := usagetrace.Inflate(payload[n+int(metaLen):])
+	if err != nil {
+		return nil, fmt.Errorf("timing trace: %w", err)
+	}
+	_, sp := obs.StartSpan(ctx, "trace.decode")
+	sp.SetAttrInt("trace_bytes", int64(len(raw)))
+	tr, d, err := usagetrace.DecodeTrace(raw)
+	if err == nil {
+		sp.SetAttrInt("decoded_bytes", int64(d.SizeBytes()))
+	}
+	sp.SetError(err)
+	sp.Finish()
 	if err != nil {
 		return nil, fmt.Errorf("timing trace: %w", err)
 	}

@@ -237,7 +237,7 @@ func (r *Remote) GetTiming(ctx context.Context, k simrun.TimingKey) (*core.Timin
 	if !ok {
 		return nil, false
 	}
-	tm, err := decodeTimingPayload(payload)
+	tm, err := decodeTimingPayload(ctx, payload)
 	if err != nil {
 		r.remoteErrors.Add(1)
 		r.log.Warn("store: remote timing undecodable", "err", err)

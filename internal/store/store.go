@@ -241,7 +241,7 @@ func (s *Store) PutResult(ctx context.Context, k simrun.Key, r *core.Result) {
 
 // GetTiming implements simrun.PersistentTier.
 func (s *Store) GetTiming(ctx context.Context, k simrun.TimingKey) (_ *core.Timing, ok bool) {
-	_, sp := obs.StartSpan(ctx, "store.get_timing")
+	ctx, sp := obs.StartSpan(ctx, "store.get_timing")
 	sp.SetAttr("bench", k.Bench)
 	sp.SetAttr("channels", k.Channels)
 	defer func() { sp.SetAttrBool("hit", ok); sp.Finish() }()
@@ -251,7 +251,7 @@ func (s *Store) GetTiming(ctx context.Context, k simrun.TimingKey) (_ *core.Timi
 		return nil, false
 	}
 	sp.SetAttrInt("bytes", int64(len(payload)))
-	tm, err := decodeTimingPayload(payload)
+	tm, err := decodeTimingPayload(ctx, payload)
 	if err != nil {
 		s.corrupt(path, err)
 		return nil, false

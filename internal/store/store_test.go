@@ -7,12 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dcg/internal/core"
+	"dcg/internal/obs"
 	"dcg/internal/power"
 	"dcg/internal/simrun"
 	"dcg/internal/store"
@@ -491,5 +493,116 @@ func TestCorruptErrorMessage(t *testing.T) {
 	e := &store.CorruptError{Path: "/x/y.res", Reason: "CRC mismatch"}
 	if !strings.Contains(e.Error(), "corrupt artifact") || !strings.Contains(e.Error(), "/x/y.res") {
 		t.Errorf("unhelpful corruption error: %q", e.Error())
+	}
+}
+
+// TestTimingLoadDecodesOnce persists a usage-only and a latchvalue
+// capture and reloads each through a fresh store. The load's one walk is
+// the trace's only decode, the replay reuses it, and every registered
+// timing-neutral scheme the trace serves evaluates bit-identically to
+// the in-memory capture.
+func TestTimingLoadDecodesOnce(t *testing.T) {
+	ctx := context.Background()
+	for _, capture := range []core.SchemeKind{core.SchemeNone, core.SchemeDDCG} {
+		t.Run(string(capture), func(t *testing.T) {
+			k := simrun.Key{Bench: "gzip", Scheme: capture, Insts: 5000, Warmup: 1000}
+			_, tm, err := simrun.Capture(ctx, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kinds []core.SchemeKind
+			for _, info := range core.Schemes() {
+				served := core.TimingNeutral(info.Kind)
+				for _, ch := range info.Channels {
+					served = served && tm.Trace.HasChannel(ch)
+				}
+				if served {
+					kinds = append(kinds, info.Kind)
+				}
+			}
+			if len(kinds) < 4 {
+				t.Fatalf("trace serves only %v", kinds)
+			}
+			want := make([]*core.Result, len(kinds))
+			for i, kind := range kinds {
+				kk := k
+				kk.Scheme = kind
+				if want[i], err = simrun.Evaluate(kk, tm); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			dir := t.TempDir()
+			open(t, dir, 0).PutTiming(ctx, k.TimingKey(), tm)
+			decodes, reuses := usagetrace.Decodes(), usagetrace.DecodeReuses()
+			got, ok := open(t, dir, 0).GetTiming(ctx, k.TimingKey())
+			if !ok {
+				t.Fatal("persisted timing not found by a fresh store handle")
+			}
+			if d, r := usagetrace.Decodes()-decodes, usagetrace.DecodeReuses()-reuses; d != 1 || r != 0 {
+				t.Fatalf("load counted %d decodes and %d reuses, want 1 and 0", d, r)
+			}
+			kd := k
+			kd.Scheme = core.SchemeDCG
+			if _, err := simrun.Evaluate(kd, got); err != nil {
+				t.Fatal(err)
+			}
+			if d, r := usagetrace.Decodes()-decodes, usagetrace.DecodeReuses()-reuses; d != 1 || r != 1 {
+				t.Fatalf("load and replay counted %d decodes and %d reuses, want 1 and 1", d, r)
+			}
+
+			for i, kind := range kinds {
+				kk := k
+				kk.Scheme = kind
+				res, err := simrun.Evaluate(kk, got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res, want[i]) {
+					t.Fatalf("%s: result from the stored trace differs from the in-memory capture", kind)
+				}
+			}
+			if d := usagetrace.Decodes() - decodes; d != 1 {
+				t.Fatalf("replaying %d schemes decoded the stored trace again (%d decodes)", len(kinds), d)
+			}
+		})
+	}
+}
+
+// TestGetTimingDecodeSpan: a store timing load reports its decode walk
+// as a trace.decode child of store.get_timing, carrying the raw trace
+// size and the decode's retained size.
+func TestGetTimingDecodeSpan(t *testing.T) {
+	k := simrun.Key{Bench: "gzip", Scheme: core.SchemeNone, Insts: 3000, Warmup: 1000}
+	_, tm, err := simrun.Capture(context.Background(), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	open(t, dir, 0).PutTiming(context.Background(), k.TimingKey(), tm)
+
+	tracer := obs.NewTracer(64)
+	ctx, root := tracer.StartRoot(context.Background(), "test")
+	if _, ok := open(t, dir, 0).GetTiming(ctx, k.TimingKey()); !ok {
+		t.Fatal("persisted timing not found")
+	}
+	root.Finish()
+	byName := make(map[string]*obs.Span)
+	for _, sp := range tracer.Spans(obs.SpanFilter{}) {
+		byName[sp.Name] = sp
+	}
+	get, decode := byName["store.get_timing"], byName["trace.decode"]
+	if get == nil || decode == nil {
+		t.Fatalf("spans %v, want store.get_timing and trace.decode", byName)
+	}
+	if decode.Parent != get.ID {
+		t.Fatal("trace.decode is not a child of store.get_timing")
+	}
+	attrs := make(map[string]string)
+	for _, a := range decode.Attrs {
+		attrs[a.Key] = a.Value
+	}
+	if attrs["trace_bytes"] != strconv.Itoa(tm.Trace.SizeBytes()) || attrs["decoded_bytes"] == "" {
+		t.Fatalf("trace.decode attrs %v, want trace_bytes=%d and decoded_bytes", attrs, tm.Trace.SizeBytes())
 	}
 }

@@ -2,6 +2,7 @@ package usagetrace
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"strings"
 	"testing"
@@ -32,10 +33,50 @@ func tinyCapture(t *testing.T, cycles int) []byte {
 	return buf.Bytes()
 }
 
+// eventCapture records a one-cycle trace carrying the single issue event
+// ev and returns the encoded bytes.
+func eventCapture(t *testing.T, ev cpu.IssueEvent) []byte {
+	t.Helper()
+	rec, err := NewRecorder("ev", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.OnIssue(ev)
+	u := cpu.Usage{Cycle: 0, IssueCount: 1, BackLatch: []int{1}}
+	rec.OnCycle(&u)
+	tr, err := rec.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// gzipped compresses b as EncodeGzip would.
+func gzipped(b []byte) []byte {
+	var buf bytes.Buffer
+	w := gzip.NewWriter(&buf)
+	w.Write(b) // a bytes.Buffer write cannot fail
+	w.Close()
+	return buf.Bytes()
+}
+
 // TestDecodeErrorPaths drives every corruption class the decoder promises
 // to fail loudly on, pinning the diagnostic each one produces.
 func TestDecodeErrorPaths(t *testing.T) {
 	good := tinyCapture(t, 3)
+
+	// Events whose fields are valid varints but too wide for the compact
+	// event the decode keeps.
+	wideLatency := eventCapture(t, cpu.IssueEvent{
+		FUIdx: 0, FUType: cpu.FUIntALU, FUStart: 2, FULat: 1 << 32,
+	})
+	wideBus := eventCapture(t, cpu.IssueEvent{
+		FUIdx: -1, WritesReg: true, ResultBusCycle: 1 << 32,
+	})
 
 	// Offsets inside the encoding of tinyCapture: the v2 header is
 	// "DCGU" + version + nameLen + "tiny" (= 10 bytes), then the channel
@@ -67,9 +108,10 @@ func TestDecodeErrorPaths(t *testing.T) {
 	}
 
 	tests := []struct {
-		name    string
-		mutate  func([]byte) []byte
-		wantErr string
+		name       string
+		mutate     func([]byte) []byte
+		inflateCap int64 // 0 = leave maxTraceBytes alone
+		wantErr    string
 	}{
 		{
 			name:    "empty stream",
@@ -242,10 +284,31 @@ func TestDecodeErrorPaths(t *testing.T) {
 			},
 			wantErr: "implausible stage count",
 		},
+		{
+			name:    "FU latency past uint32",
+			mutate:  func([]byte) []byte { return wideLatency },
+			wantErr: "FU latency 4294967296 in event at cycle 0 does not fit the compact event",
+		},
+		{
+			name:    "result-bus delta past uint32",
+			mutate:  func([]byte) []byte { return wideBus },
+			wantErr: "result-bus delta 4294967296 in event at cycle 0 does not fit the compact event",
+		},
+		{
+			name:       "stream inflates past the size cap",
+			mutate:     gzipped,
+			inflateCap: 16,
+			wantErr:    "stream exceeds the size cap",
+		},
 	}
 
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.inflateCap != 0 {
+				old := maxTraceBytes
+				maxTraceBytes = tc.inflateCap
+				defer func() { maxTraceBytes = old }()
+			}
 			data := tc.mutate(append([]byte{}, good...))
 			_, err := ReadTrace(bytes.NewReader(data))
 			if err == nil {

@@ -20,8 +20,8 @@ const busHistMax = 64
 
 // Packed is the bit-packed columnar view of a decoded trace: one uint64
 // word per 64 cycles per boolean signal (bit c%64 of word c/64 is cycle
-// c), built in a single pass at decode time alongside the scalar
-// columns. Two families of data live here:
+// c), built cycle by cycle in the load walk alongside the scalar
+// columns (packer). Two families of data live here:
 //
 //   - Usage planes — FU-pool-busy, D-port-use, latch-stage-non-zero,
 //     issue-non-empty, commit-non-empty — the threshold form of the raw
@@ -29,7 +29,7 @@ const busHistMax = 64
 //     kernels operate on (and what future multi-stage schemes in the
 //     LECTOR family would AND against their own activity masks).
 //
-//   - A DCG schedule mirror — the builder replays every issue event
+//   - A DCG schedule mirror — the walk replays every issue event
 //     through a ring identical to the gating controller's
 //     (write-at-issue, read-and-clear at the scheduled cycle) and
 //     records, per cycle, whether actual usage exceeded the schedule
@@ -107,159 +107,185 @@ type schedMirror struct {
 	bus   [SchedHorizon]int64
 }
 
-// onIssue mirrors gating.DCG.OnIssue, including its per-aspect lead
-// accounting: an event late on its FU start, D-port cycle, and
-// result-bus cycle counts three violations, exactly as the controller
-// does.
-func (m *schedMirror) onIssue(ev *cpu.IssueEvent, lead *uint64) {
-	if ev.FUIdx >= 0 {
-		if ev.FUStart <= ev.Cycle {
+// onIssue mirrors gating.DCG.OnIssue for the event e selected at cycle
+// c, including its per-aspect lead accounting: an event late on its FU
+// start, D-port cycle, and result-bus cycle counts three violations,
+// exactly as the controller does.
+func (m *schedMirror) onIssue(e *event, c uint64, lead *uint64) {
+	if e.flags&flagHasFU != 0 {
+		start := c + uint64(e.fuStart)
+		if start <= c {
 			*lead++
 		}
-		lat := uint64(ev.FULat)
+		lat := uint64(e.fuLat)
 		if lat > SchedHorizon {
 			lat = SchedHorizon
 		}
-		for c := ev.FUStart; c < ev.FUStart+lat; c++ {
-			m.fu[ev.FUType][c%SchedHorizon] |= 1 << uint(ev.FUIdx)
+		ring := &m.fu[e.flags>>fuTypeShift]
+		for x := start; x < start+lat; x++ {
+			ring[x%SchedHorizon] |= 1 << e.fuIdx
 		}
 	}
-	if ev.IsLoad || ev.IsStore {
-		if ev.DPortCycle <= ev.Cycle {
+	if e.flags&(flagIsLoad|flagIsStore) != 0 {
+		at := c + uint64(e.dport)
+		if at <= c {
 			*lead++
 		}
-		m.dport[ev.DPortCycle%SchedHorizon]++
+		m.dport[at%SchedHorizon]++
 	}
-	if ev.WritesReg {
-		if ev.ResultBusCycle <= ev.Cycle {
+	if e.flags&flagWritesReg != 0 {
+		at := c + uint64(e.bus)
+		if at <= c {
 			*lead++
 		}
-		m.bus[ev.ResultBusCycle%SchedHorizon]++
+		m.bus[at%SchedHorizon]++
 	}
 }
 
-// buildPacked runs the packing pass over freshly decoded columns: one
-// walk that feeds the schedule mirror in the core's delivery order
-// (cycle c's events strictly before cycle c's usage) and sets the
-// planes, aggregates, and maxima.
-func buildPacked(d *Decoded) *Packed {
-	n := d.cycles
-	words := int((n + 63) / 64)
-	p := &Packed{cycles: n, words: words, d: d}
+// packer builds a Packed one cycle at a time as the load walk parses
+// each record: the cycle's issue events go through the schedule mirror
+// first, then its usage sets the plane bits and aggregates — the order
+// the core delivers them in.
+type packer struct {
+	p      *Packed
+	m      schedMirror
+	planes []*[]uint64
+}
+
+// newPacker starts the planes of a trace with the given stage count,
+// sized for cyclesHint cycles.
+func newPacker(stages int, latchValue bool, cyclesHint int) *packer {
+	p := &Packed{latchNZ: make([][]uint64, stages)}
+	if latchValue {
+		p.latchValNZ = make([][]uint64, stages)
+	}
+	k := &packer{p: p, planes: p.planes()}
+	words := (cyclesHint + 63) / 64
+	for _, pl := range k.planes {
+		*pl = make([]uint64, 0, words)
+	}
+	return k
+}
+
+// planes returns every bit-plane of p, for growing and sizing them
+// together.
+func (p *Packed) planes() []*[]uint64 {
+	ps := []*[]uint64{&p.dportUse, &p.issueNE, &p.commitNE,
+		&p.unitOverSched, &p.dportOverSched, &p.busOverSched}
 	for t := range p.fuBusy {
-		p.fuBusy[t] = make([]uint64, words)
+		ps = append(ps, &p.fuBusy[t])
 	}
-	p.dportUse = make([]uint64, words)
-	p.latchNZ = make([][]uint64, d.stages)
 	for s := range p.latchNZ {
-		p.latchNZ[s] = make([]uint64, words)
+		ps = append(ps, &p.latchNZ[s])
 	}
-	p.issueNE = make([]uint64, words)
-	p.commitNE = make([]uint64, words)
-	if d.backLatchNewVal != nil {
-		p.latchValNZ = make([][]uint64, d.stages)
-		for s := range p.latchValNZ {
-			p.latchValNZ[s] = make([]uint64, words)
-		}
+	for s := range p.latchValNZ {
+		ps = append(ps, &p.latchValNZ[s])
 	}
-	p.unitOverSched = make([]uint64, words)
-	p.dportOverSched = make([]uint64, words)
-	p.busOverSched = make([]uint64, words)
+	return ps
+}
 
-	m := &schedMirror{}
-	for c := uint64(0); c < n; c++ {
-		events := d.events[d.evOff[c]:d.evOff[c+1]]
-		for i := range events {
-			m.onIssue(&events[i], &p.leadViol)
-		}
-
-		idx := c % SchedHorizon
-		w, bit := c>>6, uint64(1)<<(c&63)
-
-		dp := m.dport[idx]
-		m.dport[idx] = 0
-		bs := m.bus[idx]
-		m.bus[idx] = 0
-		p.dportSchedOn += dp
-		if bs < busHistMax {
-			p.busSchedHist[bs]++
-		} else {
-			p.busSchedHist[busHistMax]++
-		}
-
-		busy := [cpu.NumFUTypes]uint32{d.intALU[c], d.intMult[c], d.fpALU[c], d.fpMult[c]}
-		unitOver := false
-		for t := 0; t < int(cpu.NumFUTypes); t++ {
-			sched := m.fu[t][idx]
-			m.fu[t][idx] = 0
-			p.schedUnitOn[t] += int64(bits.OnesCount32(sched))
-			p.busyOr[t] |= busy[t]
-			if busy[t] != 0 {
-				p.fuBusy[t][w] |= bit
-			}
-			if busy[t]&^sched != 0 {
-				unitOver = true
-			}
-		}
-		if unitOver {
-			p.unitOverSched[w] |= bit
-		}
-
-		dport := d.dport[c]
-		if dport > 0 {
-			p.dportUse[w] |= bit
-		}
-		if dport > p.maxDPort {
-			p.maxDPort = dport
-		}
-		if int64(dport) > dp {
-			p.dportOverSched[w] |= bit
-		}
-
-		rb := d.resultBus[c]
-		if rb > p.maxBus {
-			p.maxBus = rb
-		}
-		if int64(rb) > bs {
-			p.busOverSched[w] |= bit
-		}
-
-		if d.issue[c] != 0 {
-			p.issueNE[w] |= bit
-		}
-		if d.commit[c] != 0 {
-			p.commitNE[w] |= bit
-		}
-
-		base := int(c) * d.stages
-		for s := 0; s < d.stages; s++ {
-			v := d.backLatch[base+s]
-			if v != 0 {
-				p.latchNZ[s][w] |= bit
-			}
-			if v > p.maxLatch {
-				p.maxLatch = v
-			}
-			p.backLatchSum += int64(v)
-		}
-		if d.backLatchNewVal != nil {
-			for s := 0; s < d.stages; s++ {
-				v := d.backLatchNewVal[base+s]
-				if v != 0 {
-					p.latchValNZ[s][w] |= bit
-				}
-				p.backLatchNewValSum += int64(v)
-			}
-		}
-		p.fetchSum += int64(d.fetchN[c])
-		occ := d.occ[c]
-		if occ < 0 {
-			occ = -occ
-		}
-		if occ > p.maxAbsOcc {
-			p.maxAbsOcc = occ
+// addCycle adds cycle c: its issue events, its usage record and its
+// per-stage latch (and latchvalue) counts.
+func (k *packer) addCycle(c uint64, evs []event, rec *record, latch, newVal []int32) {
+	p, m := k.p, &k.m
+	if c&63 == 0 {
+		for _, pl := range k.planes {
+			*pl = append(*pl, 0)
 		}
 	}
+	for i := range evs {
+		m.onIssue(&evs[i], c, &p.leadViol)
+	}
+
+	idx := c % SchedHorizon
+	w, bit := c>>6, uint64(1)<<(c&63)
+
+	dp := m.dport[idx]
+	m.dport[idx] = 0
+	bs := m.bus[idx]
+	m.bus[idx] = 0
+	p.dportSchedOn += dp
+	if bs < busHistMax {
+		p.busSchedHist[bs]++
+	} else {
+		p.busSchedHist[busHistMax]++
+	}
+
+	busy := [cpu.NumFUTypes]uint32{rec.intALU, rec.intMult, rec.fpALU, rec.fpMult}
+	unitOver := false
+	for t := 0; t < int(cpu.NumFUTypes); t++ {
+		sched := m.fu[t][idx]
+		m.fu[t][idx] = 0
+		p.schedUnitOn[t] += int64(bits.OnesCount32(sched))
+		p.busyOr[t] |= busy[t]
+		if busy[t] != 0 {
+			p.fuBusy[t][w] |= bit
+		}
+		if busy[t]&^sched != 0 {
+			unitOver = true
+		}
+	}
+	if unitOver {
+		p.unitOverSched[w] |= bit
+	}
+
+	dport := rec.dport
+	if dport > 0 {
+		p.dportUse[w] |= bit
+	}
+	if dport > p.maxDPort {
+		p.maxDPort = dport
+	}
+	if int64(dport) > dp {
+		p.dportOverSched[w] |= bit
+	}
+
+	rb := rec.resultBus
+	if rb > p.maxBus {
+		p.maxBus = rb
+	}
+	if int64(rb) > bs {
+		p.busOverSched[w] |= bit
+	}
+
+	if rec.issue != 0 {
+		p.issueNE[w] |= bit
+	}
+	if rec.commit != 0 {
+		p.commitNE[w] |= bit
+	}
+
+	for s, v := range latch {
+		if v != 0 {
+			p.latchNZ[s][w] |= bit
+		}
+		if v > p.maxLatch {
+			p.maxLatch = v
+		}
+		p.backLatchSum += int64(v)
+	}
+	for s, v := range newVal {
+		if v != 0 {
+			p.latchValNZ[s][w] |= bit
+		}
+		p.backLatchNewValSum += int64(v)
+	}
+	p.fetchSum += int64(rec.fetch)
+	occ := rec.occ
+	if occ < 0 {
+		occ = -occ
+	}
+	if occ > p.maxAbsOcc {
+		p.maxAbsOcc = occ
+	}
+}
+
+// finish completes the Packed view of the walked trace d.
+func (k *packer) finish(d *Decoded) *Packed {
+	p := k.p
+	p.cycles = d.cycles
+	p.words = int((d.cycles + 63) / 64)
+	p.d = d
 	return p
 }
 

@@ -61,8 +61,10 @@ import (
 	"bufio"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"dcg/internal/cpu"
@@ -398,130 +400,518 @@ func (t *Writer) releaseScratch() {
 	t.sc, t.scratch, t.pending = nil, nil, nil
 }
 
-// Reader decodes a capture stream cycle by cycle. The usage vector and
-// event slice returned by Next are reused between calls — the same
-// contract the live core imposes on its observers.
-type Reader struct {
-	r        *bufio.Reader
-	name     string
-	stages   int
-	channels []string
-
+// header is a parsed trace header.
+type header struct {
+	name          string
+	stages        int
+	channels      []string
 	hasLatchValue bool
-
-	u      cpu.Usage
-	events []cpu.IssueEvent
-
-	cycle   uint64
-	lastOcc int64
-	done    bool
 }
 
-// NewReader parses the header and positions the reader at cycle 0. The
-// stream may be gzip-compressed (as written by EncodeGzip): the two gzip
-// magic bytes are sniffed and decompression is inserted transparently.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(2); err == nil && magic[0] == gzipMagic0 && magic[1] == gzipMagic1 {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("usagetrace: bad gzip framing: %w", err)
-		}
-		br = bufio.NewReader(gz)
+// parseHeader parses the trace header at the front of data and returns
+// it with the offset of the first cycle record.
+func parseHeader(data []byte) (header, int, error) {
+	var h header
+	const fixed = len(traceMagic) + 2 // magic, version, name length
+	if len(data) < fixed {
+		return h, 0, fmt.Errorf("usagetrace: short header: %w", io.ErrUnexpectedEOF)
 	}
-	head := make([]byte, len(traceMagic)+2)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("usagetrace: short header: %w", err)
+	if string(data[:len(traceMagic)]) != traceMagic {
+		return h, 0, fmt.Errorf("usagetrace: bad magic %q (not a usage trace)", data[:len(traceMagic)])
 	}
-	if string(head[:len(traceMagic)]) != traceMagic {
-		return nil, fmt.Errorf("usagetrace: bad magic %q (not a usage trace)", head[:len(traceMagic)])
-	}
-	v := head[len(traceMagic)]
+	v := data[len(traceMagic)]
 	if v != traceVersion && v != traceVersion1 {
-		return nil, fmt.Errorf("usagetrace: unsupported version %d (reader speaks %d and %d)",
+		return h, 0, fmt.Errorf("usagetrace: unsupported version %d (reader speaks %d and %d)",
 			v, traceVersion1, traceVersion)
 	}
-	name := make([]byte, int(head[len(traceMagic)+1]))
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("usagetrace: short name: %w", err)
+	nameLen := int(data[len(traceMagic)+1])
+	if len(data)-fixed < nameLen {
+		return h, 0, fmt.Errorf("usagetrace: short name: %w", io.ErrUnexpectedEOF)
 	}
-	rd := &Reader{r: br, name: string(name)}
+	h.name = string(data[fixed : fixed+nameLen])
+	c := cursor{data: data, off: fixed + nameLen}
 
 	if v == traceVersion1 {
 		// v1: a bare backLatchStages uvarint, usage channel implicit.
-		stages, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("usagetrace: short header (latch stages): %w", err)
+		stages, ok := c.uvarint()
+		if !ok {
+			return h, 0, fmt.Errorf("usagetrace: short header (latch stages): %w", c.err())
 		}
 		if stages > maxLatchStages {
-			return nil, fmt.Errorf("usagetrace: implausible latch stage count %d (limit %d)",
+			return h, 0, fmt.Errorf("usagetrace: implausible latch stage count %d (limit %d)",
 				stages, maxLatchStages)
 		}
-		rd.stages = int(stages)
-		rd.channels = []string{ChannelUsage}
-		rd.u.BackLatch = make([]int, stages)
-		return rd, nil
+		h.stages = int(stages)
+		h.channels = []string{ChannelUsage}
+		return h, c.off, nil
 	}
 
 	// v2: a channel table, usage mandatory and first.
-	nch, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("usagetrace: short header (channel count): %w", err)
+	nch, ok := c.uvarint()
+	if !ok {
+		return h, 0, fmt.Errorf("usagetrace: short header (channel count): %w", c.err())
 	}
 	if nch == 0 {
-		return nil, fmt.Errorf("usagetrace: corrupt channel table: no channels (usage is mandatory)")
+		return h, 0, fmt.Errorf("usagetrace: corrupt channel table: no channels (usage is mandatory)")
 	}
 	if nch > maxTraceChannels {
-		return nil, fmt.Errorf("usagetrace: implausible channel count %d (limit %d)", nch, maxTraceChannels)
+		return h, 0, fmt.Errorf("usagetrace: implausible channel count %d (limit %d)", nch, maxTraceChannels)
 	}
-	rd.channels = make([]string, 0, nch)
+	h.channels = make([]string, 0, nch)
 	for i := uint64(0); i < nch; i++ {
-		nameLen, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("usagetrace: short channel header %d: %w", i, err)
+		nameLen, ok := c.byte()
+		if !ok || len(c.data)-c.off < int(nameLen) {
+			return h, 0, fmt.Errorf("usagetrace: short channel header %d: %w", i, io.ErrUnexpectedEOF)
 		}
-		chName := make([]byte, int(nameLen))
-		if _, err := io.ReadFull(br, chName); err != nil {
-			return nil, fmt.Errorf("usagetrace: short channel header %d: %w", i, err)
-		}
-		ch := string(chName)
-		stages, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("usagetrace: short channel header %q: %w", ch, err)
+		ch := string(c.data[c.off : c.off+int(nameLen)])
+		c.off += int(nameLen)
+		stages, ok := c.uvarint()
+		if !ok {
+			return h, 0, fmt.Errorf("usagetrace: short channel header %q: %w", ch, c.err())
 		}
 		if stages > maxLatchStages {
-			return nil, fmt.Errorf("usagetrace: channel %q declares implausible stage count %d (limit %d)",
+			return h, 0, fmt.Errorf("usagetrace: channel %q declares implausible stage count %d (limit %d)",
 				ch, stages, maxLatchStages)
 		}
 		switch {
 		case i == 0:
 			if ch != ChannelUsage {
-				return nil, fmt.Errorf("usagetrace: corrupt channel table: first channel is %q, want %q",
+				return h, 0, fmt.Errorf("usagetrace: corrupt channel table: first channel is %q, want %q",
 					ch, ChannelUsage)
 			}
-			rd.stages = int(stages)
+			h.stages = int(stages)
 		case ch == ChannelUsage:
-			return nil, fmt.Errorf("usagetrace: corrupt channel table: duplicate %q channel", ChannelUsage)
+			return h, 0, fmt.Errorf("usagetrace: corrupt channel table: duplicate %q channel", ChannelUsage)
 		case !validExtraChannel(ch):
-			return nil, fmt.Errorf("usagetrace: unknown trace channel %q (known: %v)", ch, KnownChannels())
-		case int(stages) != rd.stages:
-			return nil, fmt.Errorf("usagetrace: channel %q declares %d stages but usage declares %d",
-				ch, stages, rd.stages)
+			return h, 0, fmt.Errorf("usagetrace: unknown trace channel %q (known: %v)", ch, KnownChannels())
+		case int(stages) != h.stages:
+			return h, 0, fmt.Errorf("usagetrace: channel %q declares %d stages but usage declares %d",
+				ch, stages, h.stages)
 		default:
-			for _, have := range rd.channels {
+			for _, have := range h.channels {
 				if have == ch {
-					return nil, fmt.Errorf("usagetrace: corrupt channel table: duplicate %q channel", ch)
+					return h, 0, fmt.Errorf("usagetrace: corrupt channel table: duplicate %q channel", ch)
 				}
 			}
 			if ch == ChannelLatchValue {
-				rd.hasLatchValue = true
+				h.hasLatchValue = true
 			}
 		}
-		rd.channels = append(rd.channels, ch)
+		h.channels = append(h.channels, ch)
 	}
-	rd.u.BackLatch = make([]int, rd.stages)
-	if rd.hasLatchValue {
-		rd.u.BackLatchNewVal = make([]int, rd.stages)
+	return h, c.off, nil
+}
+
+// cursor reads bytes and varints from an in-memory encoding.
+type cursor struct {
+	data []byte
+	off  int
+}
+
+func (c *cursor) byte() (byte, bool) {
+	if c.off >= len(c.data) {
+		return 0, false
+	}
+	b := c.data[c.off]
+	c.off++
+	return b, true
+}
+
+// uvarint reads one unsigned varint.
+func (c *cursor) uvarint() (uint64, bool) {
+	v, n := binary.Uvarint(c.data[c.off:])
+	if n <= 0 {
+		return 0, false
+	}
+	c.off += n
+	return v, true
+}
+
+// uvarints reads len(dst) consecutive unsigned varints and returns how
+// many it read: fewer than len(dst) when the encoding ends or a varint
+// overflows. Most fields of a cycle record fit in one byte, which the
+// loop decodes without a call.
+func (c *cursor) uvarints(dst []uint64) int {
+	data, off := c.data, c.off
+	for i := range dst {
+		if off < len(data) && data[off] < 0x80 {
+			dst[i] = uint64(data[off])
+			off++
+			continue
+		}
+		v, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			c.off = off
+			return i
+		}
+		dst[i] = v
+		off += n
+	}
+	c.off = off
+	return len(dst)
+}
+
+// varint reads one zigzag-encoded signed varint.
+func (c *cursor) varint() (int64, bool) {
+	v, n := binary.Varint(c.data[c.off:])
+	if n <= 0 {
+		return 0, false
+	}
+	c.off += n
+	return v, true
+}
+
+// err says why the read at the cursor failed: the encoding ends inside
+// it, or it is a varint longer than 64 bits.
+func (c *cursor) err() error {
+	if _, n := binary.Uvarint(c.data[c.off:]); n < 0 {
+		return errVarintOverflow
+	}
+	return io.ErrUnexpectedEOF
+}
+
+var errVarintOverflow = errors.New("varint overflows a 64-bit integer")
+
+// event is one decoded issue event in compact form: 20 bytes against
+// cpu.IssueEvent's 72. flags is the encoded flags byte, FU type included
+// (bits above the FU type are cleared for an event without an FU), and
+// the timing fields are the encoded offsets from the select cycle. The
+// select cycle itself is implicit in the record the event belongs to;
+// expand rebuilds the cpu.IssueEvent.
+type event struct {
+	flags   byte
+	fuIdx   uint8
+	fuLat   uint32
+	fuStart uint32 // FUStart - Cycle
+	dport   uint32 // DPortCycle - Cycle
+	bus     uint32 // ResultBusCycle - Cycle
+}
+
+// expand rebuilds the issue event selected at cycle c.
+func (e *event) expand(c uint64) cpu.IssueEvent {
+	ev := cpu.IssueEvent{
+		Cycle:     c,
+		FUIdx:     -1,
+		IsLoad:    e.flags&flagIsLoad != 0,
+		IsStore:   e.flags&flagIsStore != 0,
+		WritesReg: e.flags&flagWritesReg != 0,
+	}
+	if e.flags&flagHasFU != 0 {
+		ev.FUType = cpu.FUType(e.flags >> fuTypeShift)
+		ev.FUIdx = int(e.fuIdx)
+		ev.FUStart = c + uint64(e.fuStart)
+		ev.FULat = int(e.fuLat)
+	}
+	if ev.IsLoad || ev.IsStore {
+		ev.DPortCycle = c + uint64(e.dport)
+	}
+	if ev.WritesReg {
+		ev.ResultBusCycle = c + uint64(e.bus)
+	}
+	return ev
+}
+
+// record is one cycle's usage vector at column width; the per-stage
+// latch counts are parsed into caller-owned slices.
+type record struct {
+	issue, fpIssue, memIssue       int32
+	intALU, intMult, fpALU, fpMult uint32
+	dport, resultBus               int32
+	commit, fetch, occ             int32
+}
+
+// fill copies the record of cycle c into a usage vector whose BackLatch
+// (and BackLatchNewVal, when newVal is non-nil) already has the stage
+// count's length.
+func (rec *record) fill(u *cpu.Usage, c uint64, latch, newVal []int32) {
+	u.Cycle = c
+	u.IssueCount = int(rec.issue)
+	u.FPIssueCount = int(rec.fpIssue)
+	u.MemIssueCount = int(rec.memIssue)
+	u.IntALUBusy = rec.intALU
+	u.IntMultBusy = rec.intMult
+	u.FPALUBusy = rec.fpALU
+	u.FPMultBusy = rec.fpMult
+	u.DPortUsed = int(rec.dport)
+	u.ResultBus = int(rec.resultBus)
+	u.CommitCount = int(rec.commit)
+	u.FetchCount = int(rec.fetch)
+	u.WindowOccupancy = int(rec.occ)
+	for s, v := range latch {
+		u.BackLatch[s] = int(v)
+	}
+	for s, v := range newVal {
+		u.BackLatchNewVal[s] = int(v)
+	}
+}
+
+// recordParser decodes the cycle records that follow a trace header. It
+// is the one parser of the record format: Reader.Next and the load walk
+// (decodeTrace) both call next.
+//
+// Every value is checked against the width the decoded form keeps it
+// at: counts and latch values must fit an int32 column (the writer's
+// uint64 image of a negative int does), busy masks a uint32, and event
+// fields the compact event. A value that does not fit fails the parse
+// naming the field, so a stream decodes to the same values whichever
+// path reads it.
+type recordParser struct {
+	cursor
+	stages        int
+	hasLatchValue bool
+	cycle         uint64
+	lastOcc       int64
+	done          bool
+}
+
+// maxCycleEvents bounds one record's issue-event count: a core issues a
+// handful of instructions per cycle, so a larger count is corruption.
+const maxCycleEvents = 1 << 16
+
+// next parses the record of cycle p.cycle. It appends the cycle's issue
+// events to evs, stores the usage vector in rec and the per-stage latch
+// counts in latch (and the latchvalue counts in newVal, when the trace
+// has that channel); both slices must have length p.stages. The end
+// marker returns io.EOF once its declared cycle count matches the
+// records read and nothing follows it; truncation or corruption returns
+// a descriptive error.
+func (p *recordParser) next(evs []event, rec *record, latch, newVal []int32) ([]event, error) {
+	if p.done {
+		return evs, io.EOF
+	}
+	tag, ok := p.byte()
+	if !ok {
+		return evs, fmt.Errorf("usagetrace: truncated at cycle %d (missing end marker): %w", p.cycle, io.EOF)
+	}
+	switch tag {
+	case tagEnd:
+		declared, ok := p.uvarint()
+		if !ok {
+			return evs, fmt.Errorf("usagetrace: truncated end marker: %w", p.err())
+		}
+		if declared != p.cycle {
+			return evs, fmt.Errorf("usagetrace: end marker declares %d cycles but %d were read", declared, p.cycle)
+		}
+		if p.off != len(p.data) {
+			return evs, fmt.Errorf("usagetrace: trailing data after end marker")
+		}
+		p.done = true
+		return evs, io.EOF
+	case tagCycle:
+	default:
+		return evs, fmt.Errorf("usagetrace: corrupt record tag 0x%02x at cycle %d", tag, p.cycle)
+	}
+
+	nev, ok := p.uvarint()
+	if !ok {
+		return evs, fmt.Errorf("usagetrace: truncated at cycle %d: %w", p.cycle, p.err())
+	}
+	if nev > maxCycleEvents {
+		return evs, fmt.Errorf("usagetrace: corrupt event count %d at cycle %d", nev, p.cycle)
+	}
+	for i := uint64(0); i < nev; i++ {
+		e, err := p.event()
+		if err != nil {
+			return evs, err
+		}
+		evs = append(evs, e)
+	}
+
+	// The eleven unsigned usage fields, in encoding order: issue, fpIssue,
+	// memIssue, the four FU busy masks, dport, resultBus, commit, fetch.
+	var f [11]uint64
+	if p.uvarints(f[:]) < len(f) {
+		return evs, fmt.Errorf("usagetrace: truncated usage at cycle %d: %w", p.cycle, p.err())
+	}
+	if f[0]|f[1]|f[2]|f[7]|f[8]|f[9]|f[10] > math.MaxInt32 || f[3]|f[4]|f[5]|f[6] > math.MaxUint32 {
+		if err := p.usageWidthErr(&f); err != nil {
+			return evs, err
+		}
+	}
+	rec.issue, rec.fpIssue, rec.memIssue = int32(f[0]), int32(f[1]), int32(f[2])
+	rec.intALU, rec.intMult, rec.fpALU, rec.fpMult = uint32(f[3]), uint32(f[4]), uint32(f[5]), uint32(f[6])
+	rec.dport, rec.resultBus, rec.commit, rec.fetch = int32(f[7]), int32(f[8]), int32(f[9]), int32(f[10])
+
+	delta, ok := p.varint()
+	if !ok {
+		return evs, fmt.Errorf("usagetrace: truncated usage at cycle %d: %w", p.cycle, p.err())
+	}
+	occ := p.lastOcc + delta
+	if occ != int64(int32(occ)) {
+		return evs, fmt.Errorf("usagetrace: window occupancy %d at cycle %d does not fit its int32 column", occ, p.cycle)
+	}
+	p.lastOcc = occ
+	rec.occ = int32(occ)
+	if err := p.int32s(latch, "usage"); err != nil {
+		return evs, err
+	}
+	if p.hasLatchValue {
+		if err := p.int32s(newVal, "latchvalue"); err != nil {
+			return evs, err
+		}
+	}
+	p.cycle++
+	return evs, nil
+}
+
+// usageWidthErr names the first usage field of f too wide for its
+// column, or returns nil when every field fits (a count may be the
+// image of a negative int).
+func (p *recordParser) usageWidthErr(f *[11]uint64) error {
+	for i, v := range f {
+		if i >= 3 && i < 7 {
+			if v > math.MaxUint32 {
+				return fmt.Errorf("usagetrace: busy mask %#x at cycle %d is wider than 32 units", v, p.cycle)
+			}
+		} else if !fitsInt32(v) {
+			return fmt.Errorf("usagetrace: usage value %d at cycle %d does not fit its int32 column", v, p.cycle)
+		}
+	}
+	return nil
+}
+
+// fitsInt32 reports whether an encoded count fits an int32 column:
+// either a non-negative value below 2^31 or the writer's uint64 image
+// of a negative int of that range.
+func fitsInt32(v uint64) bool { return v == uint64(int64(int32(v))) }
+
+// int32s reads len(dst) uvarints of the named channel into an int32
+// column row.
+func (p *recordParser) int32s(dst []int32, channel string) error {
+	var buf [8]uint64
+	for len(dst) > 0 {
+		f := buf[:min(len(dst), len(buf))]
+		if p.uvarints(f) < len(f) {
+			return fmt.Errorf("usagetrace: truncated %s at cycle %d: %w", channel, p.cycle, p.err())
+		}
+		for i, v := range f {
+			if !fitsInt32(v) {
+				return fmt.Errorf("usagetrace: %s value %d at cycle %d does not fit its int32 column", channel, v, p.cycle)
+			}
+			dst[i] = int32(v)
+		}
+		dst = dst[len(f):]
+	}
+	return nil
+}
+
+// event decodes one issue event of the current cycle.
+func (p *recordParser) event() (event, error) {
+	var e event
+	flags, ok := p.byte()
+	if !ok {
+		return e, fmt.Errorf("usagetrace: truncated event at cycle %d: %w", p.cycle, io.ErrUnexpectedEOF)
+	}
+	hasFU := flags&flagHasFU != 0
+	usesPort := flags&(flagIsLoad|flagIsStore) != 0
+	writesReg := flags&flagWritesReg != 0
+	if !hasFU {
+		flags &= 1<<fuTypeShift - 1 // the FU type means nothing without an FU
+	} else if t := flags >> fuTypeShift; t >= byte(cpu.NumFUTypes) {
+		return e, fmt.Errorf("usagetrace: corrupt FU type %d in event at cycle %d", t, p.cycle)
+	}
+	e.flags = flags
+
+	// The fields present, in encoding order: FU index, FU start delta and
+	// FU latency; D-port delta; result-bus delta.
+	n := 0
+	if hasFU {
+		n = 3
+	}
+	if usesPort {
+		n++
+	}
+	if writesReg {
+		n++
+	}
+	var v [5]uint64
+	if p.uvarints(v[:n]) < n {
+		return e, fmt.Errorf("usagetrace: truncated event at cycle %d: %w", p.cycle, p.err())
+	}
+	i := 0
+	if hasFU {
+		if v[0] > math.MaxUint8 {
+			return e, p.compactErr("FU index", v[0], math.MaxUint8)
+		}
+		if v[1] > math.MaxUint32 {
+			return e, p.compactErr("FU start delta", v[1], math.MaxUint32)
+		}
+		if v[2] > math.MaxUint32 {
+			return e, p.compactErr("FU latency", v[2], math.MaxUint32)
+		}
+		e.fuIdx, e.fuStart, e.fuLat = uint8(v[0]), uint32(v[1]), uint32(v[2])
+		i = 3
+	}
+	if usesPort {
+		if v[i] > math.MaxUint32 {
+			return e, p.compactErr("D-port delta", v[i], math.MaxUint32)
+		}
+		e.dport = uint32(v[i])
+		i++
+	}
+	if writesReg {
+		if v[i] > math.MaxUint32 {
+			return e, p.compactErr("result-bus delta", v[i], math.MaxUint32)
+		}
+		e.bus = uint32(v[i])
+	}
+	return e, nil
+}
+
+// compactErr names an event field too wide for the compact event.
+func (p *recordParser) compactErr(field string, v, limit uint64) error {
+	return fmt.Errorf("usagetrace: %s %d in event at cycle %d does not fit the compact event (limit %d)",
+		field, v, p.cycle, limit)
+}
+
+// Reader decodes a capture stream cycle by cycle. The usage vector and
+// event slice returned by Next are reused between calls — the same
+// contract the live core imposes on its observers.
+type Reader struct {
+	header
+	p recordParser
+
+	evs           []event
+	rec           record
+	latch, newVal []int32
+
+	u      cpu.Usage
+	events []cpu.IssueEvent
+}
+
+// NewReader reads the whole stream, parses the header and positions the
+// reader at cycle 0. The stream may be gzip-compressed (as written by
+// EncodeGzip): the two gzip magic bytes are sniffed and the stream is
+// inflated up front. A stream larger than the size cap, raw or
+// inflated, fails with ErrTooLarge.
+func NewReader(r io.Reader) (*Reader, error) {
+	data, err := readTrace(r)
+	if err != nil {
+		return nil, err
+	}
+	return newReader(data)
+}
+
+// newReader positions a reader over an in-memory encoding, which it
+// reads in place.
+func newReader(data []byte) (*Reader, error) {
+	h, off, err := parseHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	rd := &Reader{
+		header: h,
+		p: recordParser{
+			cursor:        cursor{data: data, off: off},
+			stages:        h.stages,
+			hasLatchValue: h.hasLatchValue,
+		},
+		latch: make([]int32, h.stages),
+	}
+	rd.u.BackLatch = make([]int, h.stages)
+	if h.hasLatchValue {
+		rd.newVal = make([]int32, h.stages)
+		rd.u.BackLatchNewVal = make([]int, h.stages)
 	}
 	return rd, nil
 }
@@ -542,142 +932,17 @@ func (r *Reader) Channels() []string { return r.channels }
 // A clean end of trace returns io.EOF; truncation or corruption returns a
 // descriptive error instead.
 func (r *Reader) Next() ([]cpu.IssueEvent, *cpu.Usage, error) {
-	if r.done {
-		return nil, nil, io.EOF
-	}
-	tag, err := r.r.ReadByte()
-	if err != nil {
-		return nil, nil, fmt.Errorf("usagetrace: truncated at cycle %d (missing end marker): %w", r.cycle, err)
-	}
-	switch tag {
-	case tagEnd:
-		declared, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return nil, nil, fmt.Errorf("usagetrace: truncated end marker: %w", err)
-		}
-		if declared != r.cycle {
-			return nil, nil, fmt.Errorf("usagetrace: end marker declares %d cycles but %d were read", declared, r.cycle)
-		}
-		if _, err := r.r.ReadByte(); err != io.EOF {
-			return nil, nil, fmt.Errorf("usagetrace: trailing data after end marker")
-		}
-		r.done = true
-		return nil, nil, io.EOF
-	case tagCycle:
-	default:
-		return nil, nil, fmt.Errorf("usagetrace: corrupt record tag 0x%02x at cycle %d", tag, r.cycle)
-	}
-
-	nev, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("usagetrace: truncated at cycle %d: %w", r.cycle, err)
-	}
-	if nev > 1<<16 {
-		return nil, nil, fmt.Errorf("usagetrace: corrupt event count %d at cycle %d", nev, r.cycle)
+	c := r.p.cycle
+	var err error
+	if r.evs, err = r.p.next(r.evs[:0], &r.rec, r.latch, r.newVal); err != nil {
+		return nil, nil, err
 	}
 	r.events = r.events[:0]
-	for i := uint64(0); i < nev; i++ {
-		ev, err := r.readEvent()
-		if err != nil {
-			return nil, nil, fmt.Errorf("usagetrace: truncated event at cycle %d: %w", r.cycle, err)
-		}
-		r.events = append(r.events, ev)
+	for i := range r.evs {
+		r.events = append(r.events, r.evs[i].expand(c))
 	}
-
-	u := &r.u
-	u.Cycle = r.cycle
-	fields := [...]*int{
-		&u.IssueCount, &u.FPIssueCount, &u.MemIssueCount,
-		nil, nil, nil, nil, // FU masks, read separately below
-		&u.DPortUsed, &u.ResultBus, &u.CommitCount, &u.FetchCount,
-	}
-	masks := [...]*uint32{&u.IntALUBusy, &u.IntMultBusy, &u.FPALUBusy, &u.FPMultBusy}
-	mi := 0
-	for _, f := range fields {
-		v, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return nil, nil, fmt.Errorf("usagetrace: truncated usage at cycle %d: %w", r.cycle, err)
-		}
-		if f != nil {
-			*f = int(v)
-		} else {
-			*masks[mi] = uint32(v)
-			mi++
-		}
-	}
-	occDelta, err := binary.ReadVarint(r.r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("usagetrace: truncated usage at cycle %d: %w", r.cycle, err)
-	}
-	r.lastOcc += occDelta
-	u.WindowOccupancy = int(r.lastOcc)
-	for s := range u.BackLatch {
-		v, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return nil, nil, fmt.Errorf("usagetrace: truncated usage at cycle %d: %w", r.cycle, err)
-		}
-		u.BackLatch[s] = int(v)
-	}
-	if r.hasLatchValue {
-		for s := range u.BackLatchNewVal {
-			v, err := binary.ReadUvarint(r.r)
-			if err != nil {
-				return nil, nil, fmt.Errorf("usagetrace: truncated latchvalue at cycle %d: %w", r.cycle, err)
-			}
-			u.BackLatchNewVal[s] = int(v)
-		}
-	}
-
-	r.cycle++
-	return r.events, u, nil
-}
-
-// readEvent decodes one issue event for the current cycle.
-func (r *Reader) readEvent() (cpu.IssueEvent, error) {
-	ev := cpu.IssueEvent{Cycle: r.cycle, FUIdx: -1}
-	flags, err := r.r.ReadByte()
-	if err != nil {
-		return ev, err
-	}
-	if flags&flagHasFU != 0 {
-		ev.FUType = cpu.FUType(flags >> fuTypeShift)
-		if ev.FUType >= cpu.NumFUTypes {
-			return ev, fmt.Errorf("corrupt FU type %d", ev.FUType)
-		}
-		idx, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return ev, err
-		}
-		ev.FUIdx = int(idx)
-		d, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return ev, err
-		}
-		ev.FUStart = r.cycle + d
-		lat, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return ev, err
-		}
-		ev.FULat = int(lat)
-	}
-	ev.IsLoad = flags&flagIsLoad != 0
-	ev.IsStore = flags&flagIsStore != 0
-	if ev.IsLoad || ev.IsStore {
-		d, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return ev, err
-		}
-		ev.DPortCycle = r.cycle + d
-	}
-	if flags&flagWritesReg != 0 {
-		ev.WritesReg = true
-		d, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return ev, err
-		}
-		ev.ResultBusCycle = r.cycle + d
-	}
-	return ev, nil
+	r.rec.fill(&r.u, c, r.latch, r.newVal)
+	return r.events, &r.u, nil
 }
 
 // Replay streams the trace through a gating scheme and an observer in the

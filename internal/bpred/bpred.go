@@ -34,6 +34,8 @@ type DirPredictor interface {
 	Predict(pc uint64) bool
 	// Update trains the predictor with the resolved direction.
 	Update(pc uint64, taken bool)
+	// Clone returns a deep copy that shares no state with the original.
+	Clone() DirPredictor
 }
 
 // TwoLevel is a GAp/PAg-style two-level adaptive predictor: a first-level
@@ -103,6 +105,14 @@ func (p *TwoLevel) Update(pc uint64, taken bool) {
 	*h = ((*h << 1) | b2u(taken)) & p.histMask
 }
 
+// Clone implements DirPredictor.
+func (p *TwoLevel) Clone() DirPredictor {
+	d := *p
+	d.l1 = append([]uint32(nil), p.l1...)
+	d.l2 = append([]uint8(nil), p.l2...)
+	return &d
+}
+
 func b2u(b bool) uint32 {
 	if b {
 		return 1
@@ -144,6 +154,11 @@ func (b *Bimodal) Update(pc uint64, taken bool) {
 	}
 }
 
+// Clone implements DirPredictor.
+func (b *Bimodal) Clone() DirPredictor {
+	return &Bimodal{table: append([]uint8(nil), b.table...), mask: b.mask}
+}
+
 // btbEntry is one BTB way.
 type btbEntry struct {
 	valid  bool
@@ -174,6 +189,19 @@ func NewBTB(entries, assoc int) (*BTB, error) {
 		sets[i], backing = backing[:assoc], backing[assoc:]
 	}
 	return &BTB{sets: sets, setMask: uint64(nsets - 1)}, nil
+}
+
+// Clone returns a deep copy of the BTB.
+func (b *BTB) Clone() *BTB {
+	d := *b
+	d.sets = make([][]btbEntry, len(b.sets))
+	backing := make([]btbEntry, 0, len(b.sets)*len(b.sets[0]))
+	for i, set := range b.sets {
+		start := len(backing)
+		backing = append(backing, set...)
+		d.sets[i] = backing[start:len(backing):len(backing)]
+	}
+	return &d
 }
 
 // Lookup returns the predicted target for pc, if present.
@@ -226,6 +254,11 @@ func NewRAS(entries int) (*RAS, error) {
 		return nil, fmt.Errorf("bpred: RAS entries must be positive")
 	}
 	return &RAS{stack: make([]uint64, entries)}, nil
+}
+
+// Clone returns a deep copy of the stack.
+func (r *RAS) Clone() *RAS {
+	return &RAS{stack: append([]uint64(nil), r.stack...), top: r.top, depth: r.depth}
 }
 
 // Push records a call's return address.
@@ -285,6 +318,14 @@ func New(cfg config.BPredConfig) (*Predictor, error) {
 		return nil, err
 	}
 	return &Predictor{Dir: dir, BTB: btb, RAS: ras}, nil
+}
+
+// Clone returns a deep copy of the predictor: direction tables, BTB, RAS
+// and counters, sharing nothing with p.
+func (p *Predictor) Clone() *Predictor {
+	d := *p
+	d.Dir, d.BTB, d.RAS = p.Dir.Clone(), p.BTB.Clone(), p.RAS.Clone()
+	return &d
 }
 
 // PredictCond predicts a conditional branch at pc.

@@ -18,9 +18,11 @@ import (
 	"strings"
 	"time"
 
+	"dcg/internal/bpred"
 	"dcg/internal/config"
 	"dcg/internal/cpu"
 	"dcg/internal/gating"
+	"dcg/internal/mem"
 	"dcg/internal/obs"
 	"dcg/internal/power"
 	"dcg/internal/trace"
@@ -277,21 +279,103 @@ func (s *Simulator) RunBenchmarkContext(ctx context.Context, name string, kind S
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx, warm, src, scheme)
+	return s.run(ctx, warmStart{src: warm}, src, scheme)
+}
+
+// warmStart is how a run's machine gets warm. With src set, the run's own
+// core streams it as the functional warm-up (cpu.Core.Warm); with hier
+// and pred set, the core adopts that already warmed state instead. The
+// zero value starts the run cold.
+type warmStart struct {
+	src  trace.Source
+	hier *mem.Hierarchy
+	pred *bpred.Predictor
+}
+
+// benchGenerator builds the named built-in benchmark's generator.
+func benchGenerator(name string) (*workload.Generator, error) {
+	prof, ok := workload.ByName(name)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown benchmark %q", name)
+	}
+	return workload.NewGenerator(prof)
 }
 
 // benchSources builds the warm-up and measured instruction streams for a
 // built-in benchmark.
 func (s *Simulator) benchSources(name string, maxInsts uint64) (warm, src trace.Source, err error) {
-	prof, ok := workload.ByName(name)
-	if !ok {
-		return nil, nil, fmt.Errorf("core: unknown benchmark %q", name)
-	}
-	gen, err := workload.NewGenerator(prof)
+	gen, err := benchGenerator(name)
 	if err != nil {
 		return nil, nil, err
 	}
 	return trace.NewLimitSource(gen, s.Warmup), trace.NewLimitSource(gen, maxInsts), nil
+}
+
+// Snapshot is the machine state a built-in benchmark's functional warm-up
+// leaves behind: the warmed caches and branch predictor, and the
+// benchmark's generator positioned just after the warm-up instructions.
+// It depends only on the benchmark, the machine and the warm-up length —
+// never on the gating scheme or the measured instruction count — so one
+// warm-up can serve every run of that triple (RunSnapshot,
+// RunAndCaptureSnapshot). A snapshot is never modified: each run starts
+// from deep copies of it, so any number of runs may share one
+// concurrently.
+type Snapshot struct {
+	benchmark string
+	machine   config.Config
+	warmup    uint64
+	gen       *workload.Generator
+	hier      *mem.Hierarchy
+	pred      *bpred.Predictor
+}
+
+// WarmBenchmark runs the functional warm-up of the named built-in
+// benchmark on the simulator's machine and returns the post-warm-up
+// snapshot. The context is polled during the warm-up; a canceled
+// warm-up returns the context's error and no snapshot.
+func (s *Simulator) WarmBenchmark(ctx context.Context, name string) (*Snapshot, error) {
+	gen, err := benchGenerator(name)
+	if err != nil {
+		return nil, err
+	}
+	warm := trace.NewLimitSource(gen, s.Warmup)
+	c, err := cpu.New(s.machine, warm)
+	if err != nil {
+		return nil, err
+	}
+	c.SetCancel(ctx.Err)
+	if err := c.Warm(warm, ^uint64(0)); err != nil {
+		return nil, err
+	}
+	return &Snapshot{benchmark: name, machine: s.machine, warmup: s.Warmup,
+		gen: gen, hier: c.Hierarchy(), pred: c.Predictor()}, nil
+}
+
+// start returns the measured stream and warmed state a run from the
+// snapshot begins with, as deep copies that leave the snapshot as it was.
+// It fails when the snapshot was taken for another machine or warm-up
+// length than the simulator's.
+func (s *Simulator) start(sn *Snapshot, maxInsts uint64) (trace.Source, warmStart, error) {
+	if sn.machine != s.machine || sn.warmup != s.Warmup {
+		return nil, warmStart{}, fmt.Errorf("core: snapshot of %s was taken for another machine or warm-up length", sn.benchmark)
+	}
+	ws := warmStart{hier: sn.hier.Clone(), pred: sn.pred.Clone()}
+	return trace.NewLimitSource(sn.gen.Clone(), maxInsts), ws, nil
+}
+
+// RunSnapshot is RunBenchmarkContext starting from a post-warm-up
+// snapshot instead of warming the machine itself. The result is
+// identical to RunBenchmarkContext's for the snapshot's benchmark.
+func (s *Simulator) RunSnapshot(ctx context.Context, sn *Snapshot, kind SchemeKind, maxInsts uint64) (*Result, error) {
+	scheme, err := s.makeScheme(kind)
+	if err != nil {
+		return nil, err
+	}
+	src, ws, err := s.start(sn, maxInsts)
+	if err != nil {
+		return nil, err
+	}
+	return s.run(ctx, ws, src, scheme)
 }
 
 // RunBenchmarkScheme is RunBenchmark with a caller-provided gating scheme
@@ -303,7 +387,7 @@ func (s *Simulator) RunBenchmarkScheme(name string, scheme gating.Scheme, maxIns
 	if err != nil {
 		return nil, err
 	}
-	return s.run(context.Background(), warm, src, scheme)
+	return s.run(context.Background(), warmStart{src: warm}, src, scheme)
 }
 
 // RunStream warms the machine on the stream's first Warmup instructions,
@@ -315,7 +399,7 @@ func (s *Simulator) RunStream(src trace.Source, kind SchemeKind, maxInsts uint64
 		return nil, err
 	}
 	warm := trace.NewLimitSource(src, s.Warmup)
-	return s.run(context.Background(), warm, trace.NewLimitSource(src, maxInsts), scheme)
+	return s.run(context.Background(), warmStart{src: warm}, trace.NewLimitSource(src, maxInsts), scheme)
 }
 
 // RunSource simulates the given instruction source to exhaustion under the
@@ -332,7 +416,7 @@ func (s *Simulator) RunSource(src trace.Source, kind SchemeKind) (*Result, error
 // schemes and ablations). No warm-up pass is applied; use RunBenchmark for
 // warmed runs.
 func (s *Simulator) RunScheme(src trace.Source, scheme gating.Scheme) (*Result, error) {
-	return s.run(context.Background(), nil, src, scheme)
+	return s.run(context.Background(), warmStart{}, src, scheme)
 }
 
 // Timing is the product of one timing pass: everything a simulation run
@@ -360,11 +444,10 @@ type Timing struct {
 // Cycles returns the timing pass's cycle count.
 func (t *Timing) Cycles() uint64 { return t.CPUStats.Cycles }
 
-// run warms the machine on warmSrc (when non-nil), then simulates src
-// under the scheme: the original single-pass path, with timing and power
-// evaluated together.
-func (s *Simulator) run(ctx context.Context, warmSrc, src trace.Source, scheme gating.Scheme) (*Result, error) {
-	res, _, err := s.runCapture(ctx, warmSrc, src, scheme, false, nil)
+// run simulates src under the scheme on a machine warmed as ws says: the
+// single-pass path, with timing and power evaluated together.
+func (s *Simulator) run(ctx context.Context, ws warmStart, src trace.Source, scheme gating.Scheme) (*Result, error) {
+	res, _, err := s.runCapture(ctx, ws, src, scheme, false, nil)
 	return res, err
 }
 
@@ -375,10 +458,16 @@ func (s *Simulator) run(ctx context.Context, warmSrc, src trace.Source, scheme g
 // Result and the reusable Timing from one pass. channels names the extra
 // trace channels to record beyond the implicit usage channel (a capture
 // pass records only what some requested scheme needs).
-func (s *Simulator) runCapture(ctx context.Context, warmSrc, src trace.Source, scheme gating.Scheme, capture bool, channels []string) (*Result, *Timing, error) {
+func (s *Simulator) runCapture(ctx context.Context, ws warmStart, src trace.Source, scheme gating.Scheme, capture bool, channels []string) (*Result, *Timing, error) {
 	start := time.Now()
 	machine := s.machine
-	c, err := cpu.New(machine, src)
+	var c *cpu.Core
+	var err error
+	if ws.hier != nil {
+		c, err = cpu.NewWarm(machine, src, ws.hier, ws.pred)
+	} else {
+		c, err = cpu.New(machine, src)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -419,8 +508,10 @@ func (s *Simulator) runCapture(ctx context.Context, warmSrc, src trace.Source, s
 	} else {
 		c.SetObserver(observers)
 	}
-	if warmSrc != nil {
-		c.Warm(warmSrc, ^uint64(0))
+	if ws.src != nil {
+		if err := c.Warm(ws.src, ^uint64(0)); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	// Cycle-limit backstop: generous multiple of the instruction count.
@@ -547,6 +638,30 @@ func (s *Simulator) RunAndCapture(ctx context.Context, name string, kind SchemeK
 	if err != nil {
 		return nil, nil, err
 	}
+	return s.runCapture(ctx, warmStart{src: warm}, src, scheme, true, captureChannels(kind, extra))
+}
+
+// RunAndCaptureSnapshot is RunAndCapture starting from a post-warm-up
+// snapshot instead of warming the machine itself. The result and timing
+// are identical to RunAndCapture's for the snapshot's benchmark.
+func (s *Simulator) RunAndCaptureSnapshot(ctx context.Context, sn *Snapshot, kind SchemeKind, maxInsts uint64, extra ...string) (*Result, *Timing, error) {
+	if !TimingNeutral(kind) {
+		return nil, nil, fmt.Errorf("core: scheme %v changes timing; capture requires a timing-neutral scheme", kind)
+	}
+	scheme, err := s.makeScheme(kind)
+	if err != nil {
+		return nil, nil, err
+	}
+	src, ws, err := s.start(sn, maxInsts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.runCapture(ctx, ws, src, scheme, true, captureChannels(kind, extra))
+}
+
+// captureChannels is the channel set a capture for kind records: the
+// scheme's own channels plus the extra ones not already among them.
+func captureChannels(kind SchemeKind, extra []string) []string {
 	channels := SchemeChannels(kind)
 	for _, ch := range extra {
 		dup := false
@@ -559,7 +674,7 @@ func (s *Simulator) RunAndCapture(ctx context.Context, name string, kind SchemeK
 			channels = append(channels, ch)
 		}
 	}
-	return s.runCapture(ctx, warm, src, scheme, true, channels)
+	return channels
 }
 
 // CaptureBenchmark runs the timing pass alone (under the no-gating

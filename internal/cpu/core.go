@@ -18,10 +18,19 @@
 // used) and IssueEvents (the selection logic's GRANT signals plus their
 // deterministically known future timing), from which the power model and
 // the clock-gating schemes operate.
+//
+// The issue stage keeps a bitmask over window slots, one bit per entry
+// that is dispatched but not yet issued. Select walks the set bits
+// oldest-first (from the window head to the end of the slot array, then
+// from slot 0 up to the head), so it visits exactly the entries a scan of
+// the whole window would consider, in the same order, without touching
+// the already-issued ones. Sequential-priority unit assignment, and so
+// every GRANT signal DCG derives its gating from, is unchanged by it.
 package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dcg/internal/bpred"
 	"dcg/internal/config"
@@ -44,12 +53,20 @@ const (
 	stIssued
 )
 
-// robEntry is one instruction window entry.
+// robEntry is one instruction window entry. It keeps only what the
+// back end reads of the instruction (sequence number, effective address,
+// architectural value, and what its class implies), not the whole
+// trace.DynInst: the entries stay small, and dispatch copies less.
 type robEntry struct {
-	dyn   trace.DynInst
-	state uint8
-	isMem bool
-	fpOp  bool
+	seq   uint64
+	ea    uint64
+	value uint64
+
+	state     uint8
+	isMem     bool
+	fpOp      bool
+	class     isa.OpClass
+	writesReg bool
 
 	// Operand tracking: producer window index + sequence (the seq guards
 	// against window-slot reuse). A producer index of -1 means the operand
@@ -133,8 +150,11 @@ type Core struct {
 	observer Observer
 	issueLis IssueListener
 
-	// Window (ROB).
+	// Window (ROB). pending has one bit per window slot, set while the
+	// slot's entry is dispatched but not yet issued (bit i&63 of word
+	// i>>6 for slot i).
 	rob      []robEntry
+	pending  []uint64
 	robHead  int
 	robCount int
 
@@ -204,8 +224,8 @@ type Core struct {
 // fine enough that a canceled simulation stops within microseconds.
 const cancelInterval = 4096
 
-// New builds a core over the given source with the given throttle (nil
-// means unthrottled). observer and issueLis may be nil.
+// New builds a core over the given source, with cold caches and branch
+// predictor.
 func New(cfg config.Config, src trace.Source) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -218,6 +238,22 @@ func New(cfg config.Config, src trace.Source) (*Core, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newCore(cfg, src, hier, pred), nil
+}
+
+// NewWarm builds a core over the given source that starts from an
+// already warmed memory hierarchy and branch predictor (built for cfg,
+// typically by another core's Warm, or clones of such a state) instead of
+// cold ones. The core takes ownership of both. A core built this way runs
+// exactly as one built by New whose Warm left hier and pred behind.
+func NewWarm(cfg config.Config, src trace.Source, hier *mem.Hierarchy, pred *bpred.Predictor) (*Core, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return newCore(cfg, src, hier, pred), nil
+}
+
+func newCore(cfg config.Config, src trace.Source, hier *mem.Hierarchy, pred *bpred.Predictor) *Core {
 	c := &Core{
 		cfg:  cfg,
 		src:  src,
@@ -226,6 +262,7 @@ func New(cfg config.Config, src trace.Source) (*Core, error) {
 		lat:  newLatencies(cfg.FU),
 		rob:  make([]robEntry, cfg.WindowSize),
 	}
+	c.pending = make([]uint64, (cfg.WindowSize+63)/64)
 	c.pools[FUIntALU] = newFUPool(cfg.FU.IntALU)
 	c.pools[FUIntMult] = newFUPool(cfg.FU.IntMult)
 	c.pools[FUFPALU] = newFUPool(cfg.FU.FPALU)
@@ -259,7 +296,7 @@ func New(cfg config.Config, src trace.Source) (*Core, error) {
 	}
 	c.lastFetchLine = ^uint64(0)
 	c.throttle = NewFixedThrottle(c.fullLimits())
-	return c, nil
+	return c
 }
 
 func (c *Core) fullLimits() Limits {
@@ -303,12 +340,16 @@ func (c *Core) Config() config.Config { return c.cfg }
 // src through the caches and branch predictor without timing them, then
 // clears all statistics. This stands in for the paper's 2-billion
 // instruction fast-forward, so the measured region starts with warm
-// structures.
-func (c *Core) Warm(src trace.Source, n uint64) {
+// structures. A cancellation observed mid-way stops the pass and returns
+// the cancellation error; the caches and predictor are then only partly
+// warmed and the core must not be run or reused.
+func (c *Core) Warm(src trace.Source, n uint64) error {
 	var lastLine uint64 = ^uint64(0)
 	for i := uint64(0); i < n; i++ {
-		if c.cancel != nil && i&(cancelInterval-1) == 0 && c.cancel() != nil {
-			break // Run will surface the cancellation error immediately
+		if c.cancel != nil && i&(cancelInterval-1) == 0 {
+			if err := c.cancel(); err != nil {
+				return fmt.Errorf("cpu: warm-up canceled after %d instructions: %w", i, err)
+			}
 		}
 		d, ok := src.Next()
 		if !ok {
@@ -318,16 +359,18 @@ func (c *Core) Warm(src trace.Source, n uint64) {
 			c.hier.FetchLatency(d.PC)
 			lastLine = line
 		}
-		if d.IsMem() {
-			c.hier.DataLatency(d.EA, d.Inst.Class() == isa.ClassStore)
+		class := d.Inst.Class()
+		if class.IsMem() {
+			c.hier.DataLatency(d.EA, class == isa.ClassStore)
 		}
-		if d.IsCtrl() {
+		if class.IsCtrl() {
 			c.predictAndTrain(&d)
 		}
 	}
 	c.stats = Stats{LatchStages: c.cfg.BackEndLatchStages()}
 	c.pred.CondLookups, c.pred.CondCorrect, c.pred.RASPredictions = 0, 0, 0
 	c.hier.ResetStats()
+	return nil
 }
 
 // Run simulates until the source is exhausted and the pipeline drains, or
@@ -466,7 +509,7 @@ func (c *Core) operandReady(idx int32, seq uint64, execStart uint64) bool {
 		return true
 	}
 	p := &c.rob[idx]
-	if p.state == stFree || p.dyn.Seq != seq {
+	if p.state == stFree || p.seq != seq {
 		return true // producer retired: value is architectural
 	}
 	if p.state != stIssued {
@@ -475,10 +518,31 @@ func (c *Core) operandReady(idx int32, seq uint64, execStart uint64) bool {
 	return p.readyTime <= execStart
 }
 
-// issue performs the issue stage's wakeup+select for cycle cyc: it scans
-// the window oldest-first and selects ready instructions subject to the
-// issue width, execution unit availability (sequential priority), and
-// D-cache port budget. Selected instructions begin execution at cyc+2
+// nextPending returns the lowest window slot in [from, end) whose pending
+// bit is set, or -1 when there is none.
+func (c *Core) nextPending(from, end int) int {
+	for w := from >> 6; w<<6 < end; w++ {
+		word := c.pending[w]
+		if w == from>>6 {
+			word &= ^uint64(0) << uint(from&63)
+		}
+		if word != 0 {
+			if i := w<<6 | bits.TrailingZeros64(word); i < end {
+				return i
+			}
+			return -1
+		}
+	}
+	return -1
+}
+
+// issue performs the issue stage's wakeup+select for cycle cyc: it walks
+// the pending bitmask oldest-first — slots [robHead, len) then
+// [0, robHead) — and selects ready instructions subject to the issue
+// width, execution unit availability (sequential priority), and D-cache
+// port budget. Already-issued entries are never visited; waiting ones are
+// examined in age order until the width is used up, exactly as a scan of
+// the whole window would. Selected instructions begin execution at cyc+2
 // (Figure 6: select at X, register read at X+1, execute at X+2).
 func (c *Core) issue(cyc uint64, limits Limits) (issued, fpIssued, memIssued, newVal int) {
 	width := limits.IssueWidth
@@ -491,18 +555,35 @@ func (c *Core) issue(cyc uint64, limits Limits) (issued, fpIssued, memIssued, ne
 	}
 	execStart := cyc + 2
 
-	for i := 0; i < c.robCount && issued < width; i++ {
-		idx := (c.robHead + i) % len(c.rob)
+	end := len(c.rob)
+	for idx := c.robHead; issued < width; idx++ {
+		if idx = c.nextPending(idx, end); idx < 0 {
+			if end != len(c.rob) || c.robHead == 0 {
+				break
+			}
+			// Wrap to the younger entries in slots [0, robHead).
+			idx, end = -1, c.robHead
+			continue
+		}
 		e := &c.rob[idx]
-		if e.state != stDispatched {
-			continue
+		// An operand once ready stays ready (its producer only moves on
+		// to commit), so a ready one is marked architectural and never
+		// checked again.
+		if e.src1Idx >= 0 {
+			if !c.operandReady(e.src1Idx, e.src1Seq, execStart) {
+				c.stats.BlockOperand++
+				continue
+			}
+			e.src1Idx = -1
 		}
-		if !c.operandReady(e.src1Idx, e.src1Seq, execStart) ||
-			!c.operandReady(e.src2Idx, e.src2Seq, execStart) {
-			c.stats.BlockOperand++
-			continue
+		if e.src2Idx >= 0 {
+			if !c.operandReady(e.src2Idx, e.src2Seq, execStart) {
+				c.stats.BlockOperand++
+				continue
+			}
+			e.src2Idx = -1
 		}
-		class := e.dyn.Inst.Class()
+		class := e.class
 
 		ev := IssueEvent{Cycle: cyc, FUIdx: -1}
 
@@ -518,7 +599,7 @@ func (c *Core) issue(cyc uint64, limits Limits) (issued, fpIssued, memIssued, ne
 				// set up the clock-gate control.
 				portCycle++
 			}
-			dLat := c.hier.DataLatencyAt(portCycle, e.dyn.EA, isStore)
+			dLat := c.hier.DataLatencyAt(portCycle, e.ea, isStore)
 			e.readyTime = portCycle + uint64(dLat)
 			e.doneTime = e.readyTime
 			if isStore {
@@ -552,7 +633,7 @@ func (c *Core) issue(cyc uint64, limits Limits) (issued, fpIssued, memIssued, ne
 			}
 		}
 
-		if e.dyn.Inst.Class().WritesReg() {
+		if e.writesReg {
 			// The result bus is driven the cycle after the value is
 			// produced (the writeback stage).
 			busCycle := e.readyTime + 1
@@ -568,12 +649,13 @@ func (c *Core) issue(cyc uint64, limits Limits) (issued, fpIssued, memIssued, ne
 		// cycle's group) compares the instruction's architectural value
 		// against the value the lane's latches last carried. Unchanged
 		// values need no clock edge downstream.
-		if c.issueLaneVal[issued] != e.dyn.Value {
-			c.issueLaneVal[issued] = e.dyn.Value
+		if c.issueLaneVal[issued] != e.value {
+			c.issueLaneVal[issued] = e.value
 			newVal++
 		}
 
 		e.state = stIssued
+		c.pending[idx>>6] &^= 1 << uint(idx&63)
 		issued++
 		c.stats.Issued++
 		c.stats.ClassIssued[class]++
@@ -586,7 +668,7 @@ func (c *Core) issue(cyc uint64, limits Limits) (issued, fpIssued, memIssued, ne
 
 		// Mispredicted control instructions release the stalled front end
 		// when they resolve at the end of execute.
-		if e.mispred && c.waitingResolve && e.dyn.Seq == c.pendingSeq {
+		if e.mispred && c.waitingResolve && e.seq == c.pendingSeq {
 			c.fetchResume = execStart + uint64(c.lat.of(class)) + uint64(c.extraRedirect)
 			c.waitingResolve = false
 		}
@@ -624,22 +706,22 @@ func (c *Core) dispatch(cyc uint64) (n, newVal int) {
 			c.stats.RobFullStall++
 			break // window full
 		}
-		isMem := fe.dyn.IsMem()
+		class := fe.dyn.Inst.Class()
+		isMem := class.IsMem()
 		if isMem && c.lsqCount >= c.cfg.LSQSize {
 			c.stats.LSQFullStall++
 			break // LSQ full
 		}
 		idx := (c.robHead + c.robCount) % len(c.rob)
 		e := &c.rob[idx]
-		*e = robEntry{
-			dyn:     fe.dyn,
-			state:   stDispatched,
-			isMem:   isMem,
-			fpOp:    fe.dyn.Inst.Class().IsFP(),
-			src1Idx: -1,
-			src2Idx: -1,
-			mispred: fe.mispred,
-		}
+		// Field by field: a composite literal here is built in a
+		// temporary and block-copied into the slot.
+		e.seq, e.ea, e.value = fe.dyn.Seq, fe.dyn.EA, fe.dyn.Value
+		e.state, e.isMem, e.fpOp = stDispatched, isMem, class.IsFP()
+		e.class, e.writesReg = class, class.WritesReg()
+		e.src1Idx, e.src2Idx, e.src1Seq, e.src2Seq = -1, -1, 0, 0
+		e.readyTime, e.doneTime, e.mispred = 0, 0, fe.mispred
+		c.pending[idx>>6] |= 1 << uint(idx&63)
 		in := fe.dyn.Inst
 		if in.Op.NumSrc() >= 1 && in.Src1 != isa.NoReg {
 			e.src1Idx, e.src1Seq = c.lookupProducer(in.Src1)
@@ -730,7 +812,7 @@ func (c *Core) fetch(cyc uint64) {
 			c.nextInst = d
 			c.nextValid = true
 		}
-		d := c.nextInst
+		d := &c.nextInst
 
 		// I-cache: charge the access when a new line is entered; a miss
 		// stalls the fetch stage for the extra latency.
@@ -745,12 +827,18 @@ func (c *Core) fetch(cyc uint64) {
 		}
 
 		c.nextValid = false
-		fe := frontEntry{dyn: d, eligible: cyc + frontDelay}
+		slot := c.frontHead + c.frontLen
+		if slot >= c.frontCap {
+			slot -= c.frontCap
+		}
+		fe := &c.front[slot]
+		fe.dyn, fe.eligible, fe.mispred = *d, cyc+frontDelay, false
+		c.frontLen++
 		c.stats.Fetched++
 
 		stop := false
 		if d.IsCtrl() {
-			mispred := c.predictAndTrain(&d)
+			mispred := c.predictAndTrain(d)
 			fe.mispred = mispred
 			if mispred {
 				c.stats.Mispredicts++
@@ -763,12 +851,6 @@ func (c *Core) fetch(cyc uint64) {
 				stop = true
 			}
 		}
-		slot := c.frontHead + c.frontLen
-		if slot >= c.frontCap {
-			slot -= c.frontCap
-		}
-		c.front[slot] = fe
-		c.frontLen++
 		if stop {
 			return
 		}

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"dcg/internal/config"
@@ -483,6 +485,28 @@ func TestWarmResetsStats(t *testing.T) {
 	}
 	if mr := c.Hierarchy().DL1.MissRate(); mr > 0.05 {
 		t.Errorf("post-warm miss rate %.2f; warm-up did not stick", mr)
+	}
+}
+
+func TestWarmReturnsCancellation(t *testing.T) {
+	insts := straightLine(20000, isa.OpLd)
+	c, err := New(config.Default(), trace.NewSliceSource("unit", insts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls := 0
+	c.SetCancel(func() error {
+		if polls++; polls > 2 {
+			return context.Canceled
+		}
+		return nil
+	})
+	err = c.Warm(trace.NewSliceSource("warm", insts), uint64(len(insts)))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Warm returned %v, want the cancellation error", err)
+	}
+	if polls != 3 {
+		t.Errorf("Warm polled %d times; want it to stop at the first failed poll", polls)
 	}
 }
 

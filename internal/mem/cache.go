@@ -57,6 +57,20 @@ func NewCache(cfg config.CacheConfig) (*Cache, error) {
 // Config returns the cache's configuration.
 func (c *Cache) Config() config.CacheConfig { return c.cfg }
 
+// Clone returns a deep copy: same contents, replacement state and
+// counters, sharing nothing with c.
+func (c *Cache) Clone() *Cache {
+	d := *c
+	d.sets = make([][]line, len(c.sets))
+	assoc := c.cfg.Assoc
+	backing := make([]line, len(c.sets)*assoc)
+	for i, set := range c.sets {
+		d.sets[i], backing = backing[:assoc:assoc], backing[assoc:]
+		copy(d.sets[i], set)
+	}
+	return &d
+}
+
 // index splits an address into set index and tag.
 func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 	blk := addr >> c.offBits
@@ -206,6 +220,15 @@ func NewHierarchy(cfg config.Config) (*Hierarchy, error) {
 		DPorts:   cfg.DL1.Ports,
 		mshrFree: make([]uint64, mshrs),
 	}, nil
+}
+
+// Clone returns a deep copy of the memory system: every cache's contents
+// and counters and the MSHR file, sharing nothing with h.
+func (h *Hierarchy) Clone() *Hierarchy {
+	d := *h
+	d.IL1, d.DL1, d.L2 = h.IL1.Clone(), h.DL1.Clone(), h.L2.Clone()
+	d.mshrFree = append([]uint64(nil), h.mshrFree...)
+	return &d
 }
 
 // ResetStats clears all cache statistics (contents are preserved).

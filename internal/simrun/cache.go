@@ -66,8 +66,9 @@ const shardCount = 16
 // evaluations and a Cache[TimingKey, *core.Timing] over the expensive
 // cycle-accurate timing passes that several evaluations share.
 type Cache[K Hashable, V any] struct {
-	shards   [shardCount]shard[K, V]
-	capShard int // max resident entries per shard; 0 = unbounded
+	shards    [shardCount]shard[K, V]
+	shardMask uint64 // shard index mask: shardCount-1, or 0 for one shard
+	capShard  int    // max resident entries per shard; 0 = unbounded
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -100,7 +101,7 @@ type flight[V any] struct {
 // The bound is enforced per shard, so the effective capacity is rounded up
 // to a multiple of the shard count.
 func NewCache[K Hashable, V any](capacity int) *Cache[K, V] {
-	c := &Cache[K, V]{}
+	c := &Cache[K, V]{shardMask: shardCount - 1}
 	if capacity > 0 {
 		c.capShard = (capacity + shardCount - 1) / shardCount
 	}
@@ -112,8 +113,19 @@ func NewCache[K Hashable, V any](capacity int) *Cache[K, V] {
 	return c
 }
 
+// newSingleShardCache builds a cache with one shard, so its bound is
+// exactly capacity entries and eviction is true LRU: for a small memo of
+// large values, where NewCache's rounding up to one entry per shard would
+// multiply the resident bytes by the shard count.
+func newSingleShardCache[K Hashable, V any](capacity int) *Cache[K, V] {
+	c := NewCache[K, V](0)
+	c.shardMask = 0
+	c.capShard = capacity
+	return c
+}
+
 func (c *Cache[K, V]) shard(k K) *shard[K, V] {
-	return &c.shards[k.Hash()&(shardCount-1)]
+	return &c.shards[k.Hash()&c.shardMask]
 }
 
 // Do returns the memoised value for key, executing fn at most once per

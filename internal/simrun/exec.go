@@ -26,14 +26,22 @@ import (
 //
 // Both levels coalesce concurrent identical requests, so a burst of
 // scheme evaluations for one workload performs exactly one timing pass.
+//
+// Underneath both, the production Full and Capture start from a
+// post-warm-up snapshot (core.Snapshot) kept in a small coalescing cache
+// keyed by WarmKey: a full run and a capture of the same benchmark,
+// machine and warm-up length share one functional warm-up, whatever
+// their schemes, instruction counts and channels.
 type Exec struct {
 	results *Cache[Key, *core.Result]
 	timings *Cache[TimingKey, *core.Timing]
+	warm    *Cache[WarmKey, *core.Snapshot]
 
 	// Full runs the complete simulation (timing + live scheme). Capture
 	// runs it while recording a trace; Evaluate replays a trace under a
 	// scheme. Exported as seams so tests can count or fake executions;
-	// NewExec installs the production implementations.
+	// NewExec installs the production implementations, which share the
+	// Exec's warm-up snapshots.
 	Full     func(ctx context.Context, k Key) (*core.Result, error)
 	Capture  func(ctx context.Context, k Key) (*core.Result, *core.Timing, error)
 	Evaluate func(k Key, t *core.Timing) (*core.Result, error)
@@ -61,18 +69,65 @@ type PersistentTier interface {
 	PutTiming(ctx context.Context, k TimingKey, t *core.Timing)
 }
 
+// warmCacheEntries bounds the warm-up snapshot cache. A snapshot is about
+// a megabyte (the L2 tag array is most of it), and its reuse is short
+// range: the schemes of one (benchmark, machine) arrive together, so a
+// handful of entries catches them while keeping the resident bytes fixed.
+const warmCacheEntries = 4
+
 // NewExec builds the production two-level executor. resultCap bounds the
 // result cache and timingCap the timing cache; <= 0 means unbounded.
 // Timing traces are megabytes each (vs kilobytes per result), so serving
-// deployments should keep timingCap small.
+// deployments should keep timingCap small. The warm-up snapshot cache
+// starts empty and holds warmCacheEntries snapshots.
 func NewExec(resultCap, timingCap int) *Exec {
-	return &Exec{
+	e := &Exec{
 		results:  NewCache[Key, *core.Result](resultCap),
 		timings:  NewCache[TimingKey, *core.Timing](timingCap),
-		Full:     Run,
-		Capture:  Capture,
+		warm:     newSingleShardCache[WarmKey, *core.Snapshot](warmCacheEntries),
 		Evaluate: Evaluate,
 	}
+	e.Full = e.runWarm
+	e.Capture = e.captureWarm
+	return e
+}
+
+// snapshot returns the post-warm-up snapshot for k's benchmark, machine
+// and warm-up length, running the warm-up only when no snapshot is
+// resident or in flight. A failed or canceled warm-up is not cached. The
+// context's active span (sim.full or sim.capture) gets a warm attribute:
+// "computed" when this call ran the warm-up, "reused" otherwise.
+func (e *Exec) snapshot(ctx context.Context, k Key) (*core.Snapshot, error) {
+	snap, out, err := e.warm.Do(ctx, k.WarmKey(), func(ctx context.Context) (*core.Snapshot, error) {
+		return simulatorFor(k.Machine(), k.Warmup).WarmBenchmark(ctx, k.Bench)
+	})
+	if err != nil {
+		return nil, err
+	}
+	warm := "reused"
+	if out == OutcomeMiss {
+		warm = "computed"
+	}
+	obs.SpanFromContext(ctx).SetAttr("warm", warm)
+	return snap, nil
+}
+
+// runWarm is Run starting from the Exec's warm-up snapshot.
+func (e *Exec) runWarm(ctx context.Context, k Key) (*core.Result, error) {
+	snap, err := e.snapshot(ctx, k)
+	if err != nil {
+		return nil, err
+	}
+	return simulatorFor(k.Machine(), k.Warmup).RunSnapshot(ctx, snap, k.Scheme, k.Insts)
+}
+
+// captureWarm is Capture starting from the Exec's warm-up snapshot.
+func (e *Exec) captureWarm(ctx context.Context, k Key) (*core.Result, *core.Timing, error) {
+	snap, err := e.snapshot(ctx, k)
+	if err != nil {
+		return nil, nil, err
+	}
+	return simulatorFor(k.Machine(), k.Warmup).RunAndCaptureSnapshot(ctx, snap, k.Scheme, k.Insts)
 }
 
 // NewSingleLevelExec builds an executor with no timing cache: every miss
@@ -123,10 +178,10 @@ func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 				fromStore = true
 				return r, nil
 			}
-			_, sp := obs.StartSpan(ctx, "sim.full")
+			sctx, sp := obs.StartSpan(ctx, "sim.full")
 			sp.SetAttr("bench", k.Bench)
 			sp.SetAttr("scheme", k.Scheme.String())
-			r, err := e.Full(ctx, k)
+			r, err := e.Full(sctx, k)
 			sp.SetError(err)
 			sp.Finish()
 			if err == nil && e.Store != nil {
@@ -156,12 +211,12 @@ func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 			if t, ok := e.storeTiming(ctx, k.TimingKey()); ok {
 				return t, nil
 			}
-			_, sp := obs.StartSpan(ctx, "sim.capture")
+			cctx, sp := obs.StartSpan(ctx, "sim.capture")
 			sp.SetAttr("bench", k.Bench)
 			sp.SetAttrInt("insts", int64(k.Insts))
 			sp.SetAttr("channels", k.TimingKey().Channels)
 			start := time.Now()
-			r, t, err := e.Capture(ctx, k)
+			r, t, err := e.Capture(cctx, k)
 			inline = r
 			sp.SetError(err)
 			if err == nil {
@@ -275,6 +330,17 @@ func (e *Exec) Get(k Key) (*core.Result, bool) {
 
 // ResultStats snapshots the result-level cache counters.
 func (e *Exec) ResultStats() Stats { return e.results.Stats() }
+
+// WarmStats snapshots the warm-up snapshot cache counters: misses count
+// functional warm-ups actually run, hits and coalesced count runs that
+// started from a shared snapshot. Zero-valued when the executor has no
+// snapshot cache (NewSingleLevelExec).
+func (e *Exec) WarmStats() Stats {
+	if e.warm == nil {
+		return Stats{}
+	}
+	return e.warm.Stats()
+}
 
 // TimingStats snapshots the timing-level cache counters. Misses count
 // core timing simulations actually executed; hits and coalesced count

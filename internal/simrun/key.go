@@ -83,6 +83,23 @@ type TimingKey struct {
 	Channels string
 }
 
+// WarmKey identifies one functional warm-up: a TimingKey without the
+// measured instruction count and the trace channels, neither of which the
+// post-warm-up machine state depends on. Every scheme, instruction count
+// and channel set asked of one (benchmark, machine, warm-up length)
+// shares one WarmKey, and so one warm-up in the Exec's snapshot cache.
+type WarmKey struct {
+	Bench  string
+	Deep   bool
+	IntALU int
+	Warmup uint64
+}
+
+// WarmKey strips everything but the warm-up's inputs from a Key.
+func (k Key) WarmKey() WarmKey {
+	return WarmKey{Bench: k.Bench, Deep: k.Deep, IntALU: k.IntALU, Warmup: k.Warmup}
+}
+
 // Machine returns the processor configuration the timing key selects.
 func (k TimingKey) Machine() config.Config {
 	return Key{Bench: k.Bench, Deep: k.Deep, IntALU: k.IntALU, Insts: k.Insts, Warmup: k.Warmup}.Machine()
@@ -130,6 +147,12 @@ func (k TimingKey) Hash() uint64 {
 	h := fnvString(fnvOffset, k.Bench)
 	h = fnvString(h, k.Channels)
 	return fnvWords(h, boolWord(k.Deep), uint64(k.IntALU), k.Insts, k.Warmup)
+}
+
+// Hash mixes every field FNV-1a style; the cache uses it to pick a shard.
+func (k WarmKey) Hash() uint64 {
+	h := fnvString(fnvOffset, k.Bench)
+	return fnvWords(h, boolWord(k.Deep), uint64(k.IntALU), k.Warmup)
 }
 
 func simulatorFor(m config.Config, warmup uint64) *core.Simulator {

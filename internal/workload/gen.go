@@ -37,8 +37,9 @@ const (
 // instTmpl is one static instruction slot of a block.
 type instTmpl struct {
 	inst   isa.Inst
-	region int  // fixed memory region, or regionDynamic
-	serial bool // participates in the serial dependence chain
+	region int         // fixed memory region, or regionDynamic
+	class  isa.OpClass // inst.Class(), set once the program is built
+	serial bool        // participates in the serial dependence chain
 }
 
 // maxLoopDwell bounds the instructions one loop visit may execute before
@@ -147,6 +148,22 @@ func MustGenerator(p Profile) *Generator {
 // Name implements trace.Source.
 func (g *Generator) Name() string { return g.prof.Name }
 
+// Clone returns an independent generator at the same point of the same
+// stream: both yield identical instructions from here on, and advancing
+// one leaves the other where it was. The static program is immutable and
+// shared; the walk state is copied.
+func (g *Generator) Clone() *Generator {
+	d := *g
+	rng := *g.rng
+	d.rng = &rng
+	d.loopLeft = make(map[int]int, len(g.loopLeft))
+	for k, v := range g.loopLeft {
+		d.loopLeft[k] = v
+	}
+	d.callRet = append(g.callRet[:0:0], g.callRet...)
+	return &d
+}
+
 // Reset rewinds the dynamic walk (the static program is preserved).
 func (g *Generator) Reset() {
 	g.rng = newRNG(g.prof.Seed ^ 0xDC6_DC6_DC6)
@@ -176,10 +193,10 @@ func (g *Generator) Next() (trace.DynInst, bool) {
 	switch {
 	case isTerm:
 		g.resolveTerminator(blk, &d)
-	case d.Inst.Class().IsMem():
+	case tmpl.class.IsMem():
 		d.EA = g.nextEA(tmpl)
 		g.curInst++
-	case d.Inst.Class() == isa.ClassBranch:
+	case tmpl.class == isa.ClassBranch:
 		// Interior branches are never taken (forward guards).
 		d.Taken = false
 		d.Target = d.PC + 4
@@ -194,7 +211,7 @@ func (g *Generator) Next() (trace.DynInst, bool) {
 			g.lastIntDst = d.Inst.Dst
 		}
 	}
-	d.Value = g.valueFor(&d)
+	d.Value = valueFor(&d, tmpl.class)
 	return d, true
 }
 
@@ -208,11 +225,11 @@ func (g *Generator) Next() (trace.DynInst, bool) {
 // are full-width). The mapping deliberately does NOT consume g.rng:
 // one extra draw per instruction would perturb every instruction
 // stream and invalidate all existing golden runs.
-func (g *Generator) valueFor(d *trace.DynInst) uint64 {
+func valueFor(d *trace.DynInst, class isa.OpClass) uint64 {
 	switch {
-	case d.Inst.Class().IsMem():
+	case class.IsMem():
 		return d.EA
-	case d.Inst.Class().IsCtrl():
+	case class.IsCtrl():
 		return d.Target
 	case !d.Inst.Op.HasDst():
 		return 0
@@ -398,6 +415,9 @@ func buildProgram(p Profile, r *rng) *program {
 		b := bld.buildBlock(p, i, nWalk, prog.funcs, isFunc)
 		b.pc = pc
 		pc += uint64(len(b.insts)) * 4
+		for j := range b.insts {
+			b.insts[j].class = b.insts[j].inst.Class()
+		}
 		prog.blocks[i] = b
 	}
 	return prog

@@ -402,3 +402,41 @@ func TestLoadProfileRejectsInvalid(t *testing.T) {
 		t.Error("garbage accepted")
 	}
 }
+
+func TestGeneratorCloneYieldsSameStream(t *testing.T) {
+	for _, name := range []string{"gzip", "mcf", "swim"} {
+		p, _ := ByName(name)
+		g := MustGenerator(p)
+		for i := 0; i < 12_345; i++ { // clone mid-walk: live loops, calls, cursors
+			g.Next()
+		}
+		c := g.Clone()
+		for i := 0; i < 100_000; i++ {
+			d1, _ := g.Next()
+			d2, _ := c.Next()
+			if d1 != d2 {
+				t.Fatalf("%s: clone diverges at %d: %+v vs %+v", name, i, d1, d2)
+			}
+		}
+	}
+}
+
+func TestGeneratorCloneIsIndependent(t *testing.T) {
+	p, _ := ByName("gcc")
+	g := MustGenerator(p)
+	for i := 0; i < 5000; i++ {
+		g.Next()
+	}
+	c := g.Clone()
+	var want []trace.DynInst
+	for i := 0; i < 5000; i++ {
+		d, _ := c.Next()
+		want = append(want, d)
+	}
+	// Advancing the clone left the original where it was.
+	for i := range want {
+		if d, _ := g.Next(); d != want[i] {
+			t.Fatalf("original moved with its clone: diverges at %d", i)
+		}
+	}
+}

@@ -42,11 +42,9 @@ race:
 	$(GO) test -race ./...
 
 # Pinned to -cpu=1 so benchmark names stay suffix-free (comparable
-# against BENCH_baseline.json) and the default replay path resolves to
-# the serial kernel; the parallel engine's worker counts are explicit
-# workers=N sub-benchmarks. For real parallel scaling numbers run
-# `go test -bench='Parallel$' -benchmem .` without -cpu on a multi-core
-# machine.
+# against BENCH_baseline.json). Replay benchmarks run one untimed
+# evaluation before the timer, so the trace's one-time decode is not in
+# the timed op.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ -cpu=1 ./...
 

@@ -16,7 +16,6 @@ package dcg_test
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"testing"
 
 	"dcg/internal/config"
@@ -329,9 +328,9 @@ func BenchmarkCaptureTiming(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayEvaluate measures the replay side: evaluating the DCG
-// scheme by streaming a captured trace through the gating controller and
-// power accountant, with no core timing work. Compare per-op time against
+// BenchmarkReplayEvaluate measures the replay side in the shape a
+// single-scheme request takes: the DCG scheme evaluated against a
+// captured trace, with no core timing work. Compare per-op time against
 // BenchmarkDCGRun (the same evaluation done the direct way) for the
 // capture-once/replay-many speedup.
 func BenchmarkReplayEvaluate(b *testing.B) {
@@ -340,46 +339,38 @@ func BenchmarkReplayEvaluate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	kinds := []core.SchemeKind{core.SchemeDCG}
+	warmReplay(b, sim, tm, kinds)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.EvaluateTiming(tm, core.SchemeDCG)
+		results, err := sim.EvaluateTimingAll(tm, kinds)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(100*res.Saving, "save%")
+		b.ReportMetric(100*results[0].Saving, "save%")
 	}
 }
 
-// replayKinds is the full timing-neutral scheme set — every scheme the
-// replay path accepts — used by the fused-vs-sequential benchmark pair.
-var replayKinds = []core.SchemeKind{core.SchemeNone, core.SchemeDCG, core.SchemeOracle}
-
-// BenchmarkReplaySingle measures the pre-fusion way of evaluating k
-// schemes over one capture: k independent sequential replays, each
-// streaming its own decode of the encoded trace. One op = all k schemes,
-// so ns/op compares directly against BenchmarkReplayFusedN.
-func BenchmarkReplaySingle(b *testing.B) {
-	sim := core.NewSimulator(core.DefaultMachine())
-	tm, err := sim.CaptureBenchmark("swim", benchInsts)
-	if err != nil {
+// warmReplay runs one evaluation outside the timer: it performs the
+// trace's one-time memoized decode, so the timed ops measure steady-state
+// replay alone.
+func warmReplay(b *testing.B, sim *core.Simulator, tm *core.Timing, kinds []core.SchemeKind) {
+	b.Helper()
+	if _, err := sim.EvaluateTimingAll(tm, kinds); err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, kind := range replayKinds {
-			if _, err := sim.EvaluateTiming(tm, kind); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 }
 
-// BenchmarkReplayFusedN measures the fused engine on the same work as
-// BenchmarkReplaySingle: all k schemes evaluated in one pass over the
-// memoized columnar decode (one decode per capture, ever — see
-// docs/PERFORMANCE.md). Results are bit-identical to the sequential path
+// replayKinds is the full timing-neutral scheme set of the paper's
+// schemes, used by the fused-vs-packed benchmark pair.
+var replayKinds = []core.SchemeKind{core.SchemeNone, core.SchemeDCG, core.SchemeOracle}
+
+// BenchmarkReplayFusedN measures the fused scalar engine: all k schemes
+// evaluated in one pass over the memoized columnar decode (one decode
+// per capture, ever — see docs/PERFORMANCE.md). Results are
+// bit-identical to direct runs
 // (TestFusedReplayMatchesSequentialBitForBit). The packed kernel is
-// disabled so this measures the scalar fused engine specifically;
+// disabled so this measures the scalar engine specifically;
 // BenchmarkReplayPackedN is the packed counterpart.
 func BenchmarkReplayFusedN(b *testing.B) {
 	sim := core.NewSimulator(core.DefaultMachine())
@@ -388,6 +379,7 @@ func BenchmarkReplayFusedN(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	warmReplay(b, sim, tm, replayKinds)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		results, err := sim.EvaluateTimingAll(tm, replayKinds)
@@ -402,22 +394,14 @@ func BenchmarkReplayFusedN(b *testing.B) {
 // same work as BenchmarkReplayFusedN: all k timing-neutral schemes
 // derived word-at-a-time from the decode-time bit-planes and schedule
 // aggregates, no per-cycle callbacks at all. Results are bit-identical
-// to both scalar paths (TestPackedReplayMatchesScalarBitForBit).
+// to the scalar engine (TestPackedReplayMatchesScalarBitForBit).
 func BenchmarkReplayPackedN(b *testing.B) {
 	sim := core.NewSimulator(core.DefaultMachine())
-	// Pin the serial kernel: this is the single-threaded packed baseline
-	// that BenchmarkReplayPackedParallel's speedups are measured against,
-	// and the allocs/op CI gate relies on it not taking the sharded path.
-	sim.ReplayWorkers = 1
 	tm, err := sim.CaptureBenchmark("swim", benchInsts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	// One evaluation outside the timer performs the trace's one-time
-	// memoized decode, so the timed ops measure the kernel alone.
-	if _, err := sim.EvaluateTimingPacked(tm, replayKinds); err != nil {
-		b.Fatal(err)
-	}
+	warmReplay(b, sim, tm, replayKinds)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		results, err := sim.EvaluateTimingPacked(tm, replayKinds)
@@ -425,39 +409,6 @@ func BenchmarkReplayPackedN(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(100*results[1].Saving, "dcg-save%")
-	}
-}
-
-// BenchmarkReplayPackedParallel is BenchmarkReplayPackedN on the
-// cycle-sharded engine, one sub-benchmark per worker count so the names
-// stay deterministic under the CI harness's -cpu=1 pin (a -cpu sweep at
-// -benchtime=1x misattributes its first variant to the discovery run's
-// GOMAXPROCS). The workers=1 variant is the serial kernel by
-// construction — its allocs/op is CI-gated against regression. Real
-// speedups need real cores: run `go test -bench='Parallel$' -benchmem`
-// without -cpu on a multi-core box.
-func BenchmarkReplayPackedParallel(b *testing.B) {
-	sim := core.NewSimulator(core.DefaultMachine())
-	tm, err := sim.CaptureBenchmark("swim", benchInsts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// The one-time memoized decode runs here, outside every timer, so the
-	// first sub-benchmark (workers=1) does not absorb it.
-	if _, err := sim.EvaluateTimingPacked(tm, replayKinds); err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			sim.ReplayWorkers = workers
-			for i := 0; i < b.N; i++ {
-				results, err := sim.EvaluateTimingPacked(tm, replayKinds)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(100*results[1].Saving, "dcg-save%")
-			}
-		})
 	}
 }
 
@@ -535,11 +486,11 @@ func BenchmarkCaptureTimingChannels(b *testing.B) {
 // BenchmarkReplayPackedN.
 func BenchmarkReplayPackedNChannelized(b *testing.B) {
 	sim := core.NewSimulator(core.DefaultMachine())
-	sim.ReplayWorkers = 1 // serial kernel, comparable to ReplayPackedN
 	tm, err := sim.CaptureBenchmark("swim", benchInsts, usagetrace.ChannelLatchValue)
 	if err != nil {
 		b.Fatal(err)
 	}
+	warmReplay(b, sim, tm, replayKinds)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		results, err := sim.EvaluateTimingPacked(tm, replayKinds)
@@ -565,6 +516,7 @@ func BenchmarkReplayScalarDDCG(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	warmReplay(b, sim, tm, valueKinds)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		results, err := sim.EvaluateTimingAll(tm, valueKinds)

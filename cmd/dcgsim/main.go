@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -52,11 +51,8 @@ func main() {
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap (allocation) profile to this file on exit")
-
-		replayPar = flag.Int("replay-par", runtime.GOMAXPROCS(0), "replay worker goroutines per evaluation (1 = serial kernel)")
 	)
 	flag.Parse()
-	core.SetReplayParallelism(*replayPar)
 
 	stopProf, err := obs.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {

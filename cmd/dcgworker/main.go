@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"dcg/internal/cluster"
-	"dcg/internal/core"
 	"dcg/internal/obs"
 	"dcg/internal/simrun"
 	"dcg/internal/store"
@@ -66,11 +65,9 @@ func main() {
 		poll        = flag.Duration("poll", 250*time.Millisecond, "idle re-poll interval when the coordinator has no work")
 		logLevel    = flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 		logFormat   = flag.String("log-format", "text", "log encoding: text or json")
-		replayPar   = flag.Int("replay-par", runtime.GOMAXPROCS(0), "replay worker goroutines per evaluation (1 = serial kernel)")
 		version     = flag.Bool("version", false, "print build version and exit")
 	)
 	flag.Parse()
-	core.SetReplayParallelism(*replayPar)
 
 	if *version {
 		v, rev := obs.BuildInfo()

@@ -461,7 +461,6 @@ func (c *Coordinator) Complete(rep CompleteRequest) error {
 		rec := sweep.Record{
 			Type: "item", Index: st.item.Index, Status: "ok",
 			Outcome: rep.Outcome, Attempts: st.attempts + 1, Result: rep.Result,
-			ReplayPar: rep.ReplayPar,
 		}
 		if err := c.man.Append(rec); err != nil {
 			return err

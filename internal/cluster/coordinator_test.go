@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -380,5 +381,33 @@ func TestWorkersBreakdown(t *testing.T) {
 		if w.Live {
 			t.Fatalf("worker %s still live after an hour of silence", w.Name)
 		}
+	}
+}
+
+// TestCompleteAcceptsReplayParReport: workers of earlier releases add a
+// "replay_par" field (their replay worker count) to every ok report.
+// The field is gone from the protocol, and such a report must still
+// decode and complete its item.
+func TestCompleteAcceptsReplayParReport(t *testing.T) {
+	clock := newClock()
+	c := startJob(t, clock, soloSpec(), 0)
+	g, ok := c.Acquire("w1")
+	if !ok {
+		t.Fatal("no lease granted for a pending item")
+	}
+	body, err := json.Marshal(okReport(g, "w1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := string(body[:len(body)-1]) + `,"replay_par":4}`
+	var rep cluster.CompleteRequest
+	if err := json.Unmarshal([]byte(old), &rep); err != nil {
+		t.Fatalf("report carrying replay_par did not decode: %v", err)
+	}
+	if err := c.Complete(rep); err != nil {
+		t.Fatalf("report carrying replay_par refused: %v", err)
+	}
+	if sum := c.Summary(); sum.Completed != 1 || !sum.Done {
+		t.Fatalf("summary after the old-format report = %+v, want 1 completed and done", sum)
 	}
 }

@@ -80,11 +80,6 @@ type CompleteRequest struct {
 	Outcome string            `json:"outcome,omitempty"`
 	Error   string            `json:"error,omitempty"`
 	Result  *sweep.ItemResult `json:"result,omitempty"`
-
-	// ReplayPar is the worker's replay parallelism when the item ran,
-	// copied into the coordinator's manifest record as execution
-	// provenance.
-	ReplayPar int `json:"replay_par,omitempty"`
 }
 
 // WorkerProgress is one worker's slice of a job, served in the

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dcg/internal/core"
 	"dcg/internal/obs"
 	"dcg/internal/retry"
 	"dcg/internal/simrun"
@@ -299,7 +298,6 @@ func (w *Worker) execute(ctx context.Context, grant *LeaseGrant, log *slog.Logge
 		rep.Status = StatusOK
 		rep.Outcome = out.String()
 		rep.Result = sweep.NewItemResult(sweep.Item{Index: grant.Index, Key: grant.Key}, res)
-		rep.ReplayPar = core.ReplayParallelism()
 		if span != nil {
 			span.SetAttr("outcome", rep.Outcome)
 		}

@@ -212,13 +212,6 @@ type Simulator struct {
 	// benchmarks that target the scalar engine specifically; production
 	// callers leave it false and get the packed kernel automatically.
 	DisablePackedReplay bool
-
-	// ReplayWorkers overrides the process-wide replay parallelism
-	// (SetReplayParallelism) for this simulator: how many word-range
-	// shards each packed evaluation splits into and how many goroutines
-	// serve them. 0 means the process default; 1 forces the serial
-	// kernel.
-	ReplayWorkers int
 }
 
 // RunTelemetry observes a run: the usage stream plus each cycle's gating
@@ -423,7 +416,7 @@ func (s *Simulator) RunScheme(src trace.Source, scheme gating.Scheme) (*Result, 
 // determines about the machine's cycle-by-cycle behaviour that does not
 // depend on the gating scheme. For timing-neutral schemes (TimingNeutral)
 // the attached usage trace replays through any scheme + power accountant
-// (EvaluateTiming) to produce the same Result a full simulation would.
+// (EvaluateTimingAll) to produce the same Result a full simulation would.
 type Timing struct {
 	Benchmark string
 	Machine   config.Config
@@ -622,10 +615,11 @@ func checkTraceChannels(t *Timing, scheme gating.Scheme) error {
 // RunAndCapture runs one benchmark simulation under a timing-neutral
 // scheme, returning both the scheme's Result and the captured Timing: the
 // timing pass and the first scheme evaluation cost a single core
-// simulation, and every further timing-neutral scheme is an EvaluateTiming
-// replay over the returned Timing. The trace records the channels the
-// scheme's registry entry requires; extra names additional channels to
-// record so the Timing can also serve schemes with richer channel needs.
+// simulation, and every further timing-neutral scheme is an
+// EvaluateTimingAll replay over the returned Timing. The trace records
+// the channels the scheme's registry entry requires; extra names
+// additional channels to record so the Timing can also serve schemes
+// with richer channel needs.
 func (s *Simulator) RunAndCapture(ctx context.Context, name string, kind SchemeKind, maxInsts uint64, extra ...string) (*Result, *Timing, error) {
 	if !TimingNeutral(kind) {
 		return nil, nil, fmt.Errorf("core: scheme %v changes timing; capture requires a timing-neutral scheme", kind)
@@ -690,68 +684,6 @@ func (s *Simulator) CaptureBenchmark(name string, maxInsts uint64, extra ...stri
 func (s *Simulator) CaptureBenchmarkContext(ctx context.Context, name string, maxInsts uint64, extra ...string) (*Timing, error) {
 	_, tm, err := s.RunAndCapture(ctx, name, SchemeNone, maxInsts, extra...)
 	return tm, err
-}
-
-// EvaluateTiming replays a captured timing through a timing-neutral
-// scheme and a fresh power accountant: the evaluation pass. The replay
-// feeds each cycle's issue events to the scheme and each usage vector to
-// the accountant in the core's delivery order, so schedules, gating
-// decisions, and energy integrate exactly as in a direct run — the
-// Result's power metrics are bit-identical (a golden test enforces this).
-func (s *Simulator) EvaluateTiming(t *Timing, kind SchemeKind) (*Result, error) {
-	if !TimingNeutral(kind) {
-		return nil, fmt.Errorf("core: scheme %v changes timing and cannot be evaluated by replay", kind)
-	}
-	scheme, err := s.makeScheme(kind)
-	if err != nil {
-		return nil, err
-	}
-	return s.EvaluateTimingScheme(t, scheme)
-}
-
-// EvaluateTimingScheme is EvaluateTiming with a caller-provided scheme
-// (partial-DCG ablations). The scheme must be timing-neutral — fresh,
-// never throttling, deriving state only from the events and usage vectors
-// it is fed; a scheme whose Limits matter would have produced a different
-// trace.
-func (s *Simulator) EvaluateTimingScheme(t *Timing, scheme gating.Scheme) (*Result, error) {
-	if t == nil || t.Trace == nil {
-		return nil, fmt.Errorf("core: evaluation requires a captured timing trace")
-	}
-	if err := checkTraceChannels(t, scheme); err != nil {
-		return nil, err
-	}
-	model, err := power.NewModel(t.Machine)
-	if err != nil {
-		return nil, err
-	}
-	var obsChain cpu.Observer
-	if s.Telemetry != nil {
-		scheme = gating.Observed{Scheme: scheme, OnGates: s.Telemetry.OnGates}
-		obsChain = cpu.MultiObserver{s.Telemetry}
-	}
-	acct := power.NewAccountant(model, scheme)
-	acct.LeakageFrac = s.LeakageFrac
-	if mo, ok := obsChain.(cpu.MultiObserver); ok {
-		obsChain = append(mo, acct)
-	} else {
-		obsChain = acct
-	}
-	rd, err := t.Trace.Reader()
-	if err != nil {
-		return nil, err
-	}
-	cycles, err := usagetrace.Replay(rd, scheme, obsChain)
-	if err != nil {
-		return nil, err
-	}
-	if cycles != t.CPUStats.Cycles {
-		return nil, fmt.Errorf("core: trace replays %d cycles but timing ran %d", cycles, t.CPUStats.Cycles)
-	}
-	if err := acct.Validate(); err != nil {
-		return nil, err
-	}
-	return resultFor(t, scheme, model, acct), nil
 }
 
 func utilization(m config.Config, st *cpu.Stats) Utilization {

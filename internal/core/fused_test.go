@@ -1,21 +1,25 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
-	"dcg/internal/gating"
+	"dcg/internal/cpu"
+	"dcg/internal/power"
 	"dcg/internal/usagetrace"
 )
 
-// TestFusedReplayMatchesSequentialBitForBit is the fused-engine golden
-// test: evaluating k schemes in one ReplayMulti pass must produce, for
-// every scheme, exactly the Result the sequential one-scheme-at-a-time
-// replay produces — bit for bit, not approximately.
+// TestFusedReplayMatchesSequentialBitForBit is the fused scalar
+// engine's golden test: evaluating k schemes in one fused pass must
+// produce, for every scheme, exactly the Result of the sequential
+// one-scheme-at-a-time direct simulations — bit for bit, not
+// approximately. The packed kernel is disabled, so every scheme rides
+// the scalar pass this test pins as the reference engine.
 func TestFusedReplayMatchesSequentialBitForBit(t *testing.T) {
 	const insts = 40_000
 	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle}
 	for _, bench := range []string{"gzip", "swim"} {
-		sim := NewSimulator(DefaultMachine())
+		sim := scalarSim()
 		sim.Warmup = 20_000
 		tm, err := sim.CaptureBenchmark(bench, insts)
 		if err != nil {
@@ -29,57 +33,37 @@ func TestFusedReplayMatchesSequentialBitForBit(t *testing.T) {
 			t.Fatalf("%s: %d results for %d schemes", bench, len(fused), len(kinds))
 		}
 		for i, kind := range kinds {
-			sequential, err := sim.EvaluateTiming(tm, kind)
+			direct, err := sim.RunBenchmark(bench, kind, insts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertBitIdentical(t, bench+"/fused/"+kind.String(), sequential, fused[i])
+			assertBitIdentical(t, bench+"/fused/"+kind.String(), direct, fused[i])
 		}
 	}
 }
 
 // TestFusedReplayMatchesSequentialDCGSubsets extends the fused golden
-// test across every DCGOptions ablation subset, all fused into a single
-// pass over one capture.
+// test across all 16 DCGOptions ablation subsets, fused into a single
+// scalar pass over one capture and held to one direct run each.
 func TestFusedReplayMatchesSequentialDCGSubsets(t *testing.T) {
 	const insts = 30_000
-	sim := NewSimulator(DefaultMachine())
+	sim := scalarSim()
 	sim.Warmup = 20_000
 	tm, err := sim.CaptureBenchmark("gcc", insts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultMachine()
-	schemes := make([]gating.Scheme, 0, 16)
-	for mask := 0; mask < 16; mask++ {
-		schemes = append(schemes, gating.NewDCGPartial(cfg, gating.DCGOptions{
-			GateUnits:   mask&1 != 0,
-			GateLatches: mask&2 != 0,
-			GateDCache:  mask&4 != 0,
-			GateBus:     mask&8 != 0,
-		}))
-	}
-	fused, err := sim.EvaluateTimingSchemes(tm, schemes)
+	fused, err := sim.EvaluateTimingSchemes(tm, allDCGSubsets())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for mask := 0; mask < 16; mask++ {
-		opts := gating.DCGOptions{
-			GateUnits:   mask&1 != 0,
-			GateLatches: mask&2 != 0,
-			GateDCache:  mask&4 != 0,
-			GateBus:     mask&8 != 0,
-		}
-		sequential, err := sim.EvaluateTimingScheme(tm, gating.NewDCGPartial(cfg, opts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, "fused/"+sequential.Scheme, sequential, fused[mask])
+	for i, direct := range directDCGSubsets(t, sim, "gcc", insts) {
+		assertBitIdentical(t, "fused/"+direct.Scheme, direct, fused[i])
 	}
 }
 
 // TestFusedReplayRejectsPLB: schemes that throttle timing must be
-// rejected by the fused path exactly as by the sequential one.
+// rejected by the fused path, alone or riding with neutral schemes.
 func TestFusedReplayRejectsPLB(t *testing.T) {
 	sim := NewSimulator(DefaultMachine())
 	sim.Warmup = 10_000
@@ -98,9 +82,6 @@ func TestFusedReplayRejectsPLB(t *testing.T) {
 	}
 	if _, err := sim.EvaluateTimingAll(&Timing{}, []SchemeKind{SchemeDCG}); err == nil {
 		t.Error("fused replay accepted a timing with no trace")
-	}
-	if _, err := (&Timing{}).ReplayMulti(); err == nil {
-		t.Error("ReplayMulti accepted a timing with no trace")
 	}
 }
 
@@ -137,12 +118,12 @@ func TestFusedReplayDecodesOnce(t *testing.T) {
 		t.Fatalf("fused-scheme counter advanced %d, want %d", got, len(kinds))
 	}
 
-	// A second fused pass and a ReplayMulti over the same Timing must
-	// reuse the memoized decode, not decode again.
+	// A second fused pass and a single-scheme evaluation of the same
+	// Timing must reuse the memoized decode, not decode again.
 	if _, err := sim.EvaluateTimingAll(tm, kinds); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tm.ReplayMulti(); err != nil {
+	if _, err := sim.EvaluateTimingAll(tm, []SchemeKind{SchemeDCG}); err != nil {
 		t.Fatal(err)
 	}
 	if got := usagetrace.Decodes() - decodes0; got != 1 {
@@ -162,5 +143,40 @@ func TestFusedReplayDecodesOnce(t *testing.T) {
 	}
 	if d.Name() != "mcf" || d.BackLatchStages() != tm.Trace.BackLatchStages() {
 		t.Errorf("decode header mismatch: name=%q stages=%d", d.Name(), d.BackLatchStages())
+	}
+}
+
+// countingTelemetry counts every callback a RunTelemetry receives.
+type countingTelemetry struct{ cycles, gates int }
+
+func (c *countingTelemetry) OnCycle(*cpu.Usage)              { c.cycles++ }
+func (c *countingTelemetry) OnGates(uint64, power.GateState) { c.gates++ }
+
+// TestReplayRefusesTelemetry: telemetry observes a live pass, so a
+// replay evaluation on a simulator carrying it must fail loudly on every
+// replay entry — and feed the recorder nothing — rather than hand back
+// a result the recorder never saw.
+func TestReplayRefusesTelemetry(t *testing.T) {
+	sim := NewSimulator(DefaultMachine())
+	sim.Warmup = 10_000
+	tm, err := sim.CaptureBenchmark("gzip", 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &countingTelemetry{}
+	sim.Telemetry = rec
+	if _, err := sim.EvaluateTimingAll(tm, []SchemeKind{SchemeDCG}); err == nil ||
+		!strings.Contains(err.Error(), "telemetry requires a live pass") {
+		t.Errorf("EvaluateTimingAll with telemetry: err = %v, want the live-pass refusal", err)
+	}
+	if _, err := sim.EvaluateTimingSchemes(tm, allDCGSubsets()); err == nil {
+		t.Error("EvaluateTimingSchemes accepted a simulator carrying telemetry")
+	}
+	if _, err := sim.EvaluateTimingPacked(tm, []SchemeKind{SchemeDCG}); err == nil {
+		t.Error("EvaluateTimingPacked accepted a simulator carrying telemetry")
+	}
+	if rec.cycles != 0 || rec.gates != 0 {
+		t.Errorf("refused replays fed the recorder %d cycles and %d gate decisions, want none",
+			rec.cycles, rec.gates)
 	}
 }

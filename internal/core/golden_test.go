@@ -65,9 +65,20 @@ func assertBitIdentical(t *testing.T, label string, direct, replayed *Result) {
 	}
 }
 
+// replayRoutes are the two replay engines a golden test must hold to
+// the direct run: the default route (the packed kernel for every
+// packed-capable scheme) and the fused scalar engine.
+func replayRoutes() map[string]*Simulator {
+	return map[string]*Simulator{
+		"default": NewSimulator(DefaultMachine()),
+		"scalar":  scalarSim(),
+	}
+}
+
 // TestReplayMatchesDirectRunBitForBit is the golden equivalence test: for
-// every timing-neutral scheme, evaluating a captured trace must produce
-// the same Result a full simulation does, bit for bit.
+// every timing-neutral scheme, evaluating a captured trace one scheme at
+// a time — the shape a single-scheme request takes — must produce the
+// same Result a full simulation does, bit for bit, on both replay routes.
 func TestReplayMatchesDirectRunBitForBit(t *testing.T) {
 	const insts = 40_000
 	for _, bench := range []string{"gzip", "swim"} {
@@ -85,17 +96,20 @@ func TestReplayMatchesDirectRunBitForBit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			replayed, err := sim.EvaluateTiming(tm, kind)
-			if err != nil {
-				t.Fatal(err)
+			for route, rsim := range replayRoutes() {
+				replayed, err := rsim.EvaluateTimingAll(tm, []SchemeKind{kind})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertBitIdentical(t, bench+"/"+kind.String()+"/"+route, direct, replayed[0])
 			}
-			assertBitIdentical(t, bench+"/"+kind.String(), direct, replayed)
 		}
 	}
 }
 
 // TestReplayMatchesDirectRunAllDCGSubsets extends the golden test across
-// every DCGOptions ablation subset, all replayed from one capture.
+// every DCGOptions ablation subset, each replayed on its own from one
+// capture on both replay routes.
 func TestReplayMatchesDirectRunAllDCGSubsets(t *testing.T) {
 	const insts = 30_000
 	sim := NewSimulator(DefaultMachine())
@@ -104,24 +118,32 @@ func TestReplayMatchesDirectRunAllDCGSubsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultMachine()
-	for mask := 0; mask < 16; mask++ {
-		opts := gating.DCGOptions{
-			GateUnits:   mask&1 != 0,
-			GateLatches: mask&2 != 0,
-			GateDCache:  mask&4 != 0,
-			GateBus:     mask&8 != 0,
+	direct := directDCGSubsets(t, sim, "gcc", insts)
+	for route, rsim := range replayRoutes() {
+		for i, scheme := range allDCGSubsets() {
+			replayed, err := rsim.EvaluateTimingSchemes(tm, []gating.Scheme{scheme})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitIdentical(t, direct[i].Scheme+"/"+route, direct[i], replayed[0])
 		}
-		direct, err := sim.RunBenchmarkScheme("gcc", gating.NewDCGPartial(cfg, opts), insts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replayed, err := sim.EvaluateTimingScheme(tm, gating.NewDCGPartial(cfg, opts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, direct.Scheme, direct, replayed)
 	}
+}
+
+// directDCGSubsets runs the benchmark directly once per DCG ablation
+// subset, in allDCGSubsets order: the references the replay engines are
+// held to.
+func directDCGSubsets(t *testing.T, sim *Simulator, bench string, insts uint64) []*Result {
+	t.Helper()
+	var results []*Result
+	for _, scheme := range allDCGSubsets() {
+		res, err := sim.RunBenchmarkScheme(bench, scheme, insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	return results
 }
 
 // TestRunAndCaptureMatchesPlainRun: the capturing run's own Result (the
@@ -163,15 +185,15 @@ func TestTimingSurvivesSerialisation(t *testing.T) {
 	}
 	tm2 := *tm
 	tm2.Trace = reloaded
-	a, err := sim.EvaluateTiming(tm, SchemeDCG)
+	a, err := sim.EvaluateTimingAll(tm, []SchemeKind{SchemeDCG})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sim.EvaluateTiming(&tm2, SchemeDCG)
+	b, err := sim.EvaluateTimingAll(&tm2, []SchemeKind{SchemeDCG})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, "serialised", a, b)
+	assertBitIdentical(t, "serialised", a[0], b[0])
 }
 
 func TestCaptureAndReplayRejectPLB(t *testing.T) {
@@ -185,11 +207,11 @@ func TestCaptureAndReplayRejectPLB(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []SchemeKind{SchemePLBOrig, SchemePLBExt} {
-		if _, err := sim.EvaluateTiming(tm, kind); err == nil {
+		if _, err := sim.EvaluateTimingAll(tm, []SchemeKind{kind}); err == nil {
 			t.Errorf("replay accepted %v, which throttles timing", kind)
 		}
 	}
-	if _, err := sim.EvaluateTiming(&Timing{}, SchemeDCG); err == nil {
+	if _, err := sim.EvaluateTimingAll(&Timing{}, []SchemeKind{SchemeDCG}); err == nil {
 		t.Error("replay accepted a timing with no trace")
 	}
 }
@@ -229,14 +251,11 @@ func TestOracleSchemeWired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dcg, err := sim.EvaluateTiming(tm, SchemeDCG)
+	results, err := sim.EvaluateTimingAll(tm, []SchemeKind{SchemeDCG, SchemeOracle})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := sim.EvaluateTiming(tm, SchemeOracle)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dcg, oracle := results[0], results[1]
 	if oracle.Saving <= dcg.Saving {
 		t.Errorf("oracle saving %.3f not above DCG %.3f", oracle.Saving, dcg.Saving)
 	}

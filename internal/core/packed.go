@@ -1,21 +1,21 @@
 package core
 
-// This file routes replay evaluations through the bit-packed columnar
-// kernel (usagetrace.Packed + gating.PackedTally): for eligible scheme
-// sets, per-scheme results are derived from decode-time bit-planes and
-// aggregates in O(cycles/64)-ish work instead of a full per-cycle
-// callback replay, with Results bit-identical to the scalar fused
-// engine. Ineligible schemes (PLB is timing-changing and never gets
-// here; telemetry runs, mismatched machine configs, bus schedules
-// beyond the histogram's exact range) fall back to scalar ReplayAll
-// transparently — per scheme on the automatic route, whole-set on the
-// strict EvaluateTimingPacked entry.
+// This file is the packed replay engine: a scheme's Result derived from
+// the bit-packed columnar kernel (usagetrace.Packed + gating.PackedTally)
+// in O(cycles/64)-ish work instead of a per-cycle callback replay, and
+// bit-identical to the fused scalar engine. A scheme the kernel cannot
+// evaluate (a wrapped or foreign scheme type, a mismatched machine
+// config, a bus schedule beyond the histogram's exact range) falls back
+// to the scalar engine — per scheme on the automatic route, whole-set on
+// the strict EvaluateTimingPacked entry.
 
 import (
 	"fmt"
 	"sync/atomic"
 
 	"dcg/internal/gating"
+	"dcg/internal/power"
+	"dcg/internal/usagetrace"
 )
 
 // Package-wide packed-replay accounting, exported for the service's
@@ -45,16 +45,9 @@ func (s *Simulator) EvaluateTimingPacked(t *Timing, kinds []SchemeKind) ([]*Resu
 	if t == nil || t.Trace == nil {
 		return nil, fmt.Errorf("core: evaluation requires a captured timing trace")
 	}
-	schemes := make([]gating.Scheme, len(kinds))
-	for i, k := range kinds {
-		if !TimingNeutral(k) {
-			return nil, fmt.Errorf("core: scheme %v changes timing and cannot be evaluated by replay", k)
-		}
-		sc, err := s.makeScheme(k)
-		if err != nil {
-			return nil, err
-		}
-		schemes[i] = sc
+	schemes, err := s.replaySchemes(kinds)
+	if err != nil {
+		return nil, err
 	}
 	results, ok, err := s.evalPackedSchemes(t, schemes)
 	if err != nil {
@@ -66,57 +59,57 @@ func (s *Simulator) EvaluateTimingPacked(t *Timing, kinds []SchemeKind) ([]*Resu
 	return results, nil
 }
 
-// planPackedSchemes builds one gating.PackedPlan per scheme, returning
-// the plans and how many are valid. plans is nil (with npacked 0) when
-// the simulator cannot take the packed route at all — telemetry
-// attached or packed replay disabled. A decode failure or a
-// trace/timing cycle disagreement is an error on any path.
-func (s *Simulator) planPackedSchemes(t *Timing, schemes []gating.Scheme) (plans []gating.PackedPlan, npacked int, err error) {
-	if s.Telemetry != nil || s.DisablePackedReplay {
-		return nil, 0, nil
-	}
-	d, err := t.Trace.Decode()
-	if err != nil {
-		return nil, 0, err
-	}
-	if d.Cycles() != t.CPUStats.Cycles {
-		return nil, 0, fmt.Errorf("core: trace replays %d cycles but timing ran %d",
-			d.Cycles(), t.CPUStats.Cycles)
-	}
-	plans = make([]gating.PackedPlan, len(schemes))
-	for i, scheme := range schemes {
-		if gating.PackedTallyPlan(d, scheme, t.Machine, &plans[i]) {
-			npacked++
-		}
-	}
-	return plans, npacked, nil
-}
-
 // evalPackedSchemes attempts the packed evaluation of a whole scheme
-// set. ok=false (with nil error) means at least one scheme cannot be
-// packed-evaluated and the caller must route around this entry; an
-// error means the evaluation is invalid on any path. All-or-nothing by
-// contract — this is the strict engine under EvaluateTimingPacked; the
-// automatic route (EvaluateTimingSchemes) splits mixed sets per scheme
-// instead of calling this.
+// set. ok=false (with nil error) means the simulator cannot take the
+// packed route (telemetry attached, packed replay disabled) or at least
+// one scheme cannot be packed-evaluated; an error means the evaluation
+// is invalid on any path.
 func (s *Simulator) evalPackedSchemes(t *Timing, schemes []gating.Scheme) ([]*Result, bool, error) {
-	plans, npacked, err := s.planPackedSchemes(t, schemes)
-	if err != nil {
-		return nil, false, err
-	}
-	if plans == nil || npacked != len(schemes) {
-		if plans != nil {
-			packedFallbackCount.Add(uint64(len(schemes)))
-		}
+	if s.Telemetry != nil || s.DisablePackedReplay {
 		return nil, false, nil
 	}
-	idx := make([]int, len(schemes))
-	for i := range idx {
-		idx[i] = i
-	}
-	results := make([]*Result, len(schemes))
-	if err := s.runPackedPlans(t, schemes, idx, plans, results); err != nil {
+	d, err := replayDecode(t)
+	if err != nil {
 		return nil, false, err
 	}
+	results := make([]*Result, len(schemes))
+	for i, scheme := range schemes {
+		res, ok, err := s.packedResult(t, d, scheme)
+		if err != nil {
+			return nil, false, err
+		}
+		if !ok {
+			packedFallbackCount.Add(uint64(len(schemes)))
+			return nil, false, nil
+		}
+		results[i] = res
+	}
+	packedSchemeCount.Add(uint64(len(schemes)))
 	return results, true, nil
+}
+
+// packedResult evaluates one scheme through the packed kernel — the same
+// model/accountant construction the scalar engine performs, with the
+// kernel's tally installed in place of a replayed one. ok is false when
+// the kernel cannot evaluate the scheme.
+func (s *Simulator) packedResult(t *Timing, d *usagetrace.Decoded, scheme gating.Scheme) (*Result, bool, error) {
+	tally, lead, ok := gating.PackedTally(d, scheme, t.Machine)
+	if !ok {
+		return nil, false, nil
+	}
+	model, err := power.NewModel(t.Machine)
+	if err != nil {
+		return nil, false, err
+	}
+	acct := power.NewAccountant(model, scheme)
+	acct.LeakageFrac = s.LeakageFrac
+	acct.Tally = tally
+	if err := acct.Validate(); err != nil {
+		return nil, false, fmt.Errorf("core: scheme %s: %w", scheme.Name(), err)
+	}
+	res := resultFor(t, scheme, model, acct)
+	// The scheme instance was never fed, so resultFor's type switch
+	// read zero lead violations; install the packed kernel's count.
+	res.LeadViolations = lead
+	return res, true, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -122,14 +123,18 @@ func craftTiming(t *testing.T, usages []cpu.Usage, events map[int][]cpu.IssueEve
 
 // TestPackedReplayAdversarialTraces golden-tests the packed kernel
 // against the scalar engine on crafted traces that hit the
-// representation's edges: all-zero usage, saturated FU masks with
-// over-capacity ports/buses/latches (gate violations on every class),
-// a single-cycle trace, and a cycle count indivisible by 64 carrying
-// lead-violating, ring-wrapping, and schedule-escaping events.
+// representation's edges: the empty trace, all-zero usage, saturated FU
+// masks with over-capacity ports/buses/latches (gate violations on every
+// class), a single-cycle trace, lengths on every word-boundary edge, and
+// a cycle count indivisible by 64 carrying lead-violating,
+// ring-wrapping, and schedule-escaping events.
 func TestPackedReplayAdversarialTraces(t *testing.T) {
-	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle}
+	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle, SchemeLector}
 
 	traces := map[string]*Timing{}
+
+	// No cycles at all: zero words in every plane.
+	traces["zero-cycle"] = craftTiming(t, nil, nil)
 
 	// All-zero usage, partial tail word.
 	traces["all-zero"] = craftTiming(t, make([]cpu.Usage, 100), nil)
@@ -196,35 +201,62 @@ func TestPackedReplayAdversarialTraces(t *testing.T) {
 	}
 	traces["tail-word-events"] = craftTiming(t, usages, events)
 
-	for name, tm := range traces {
-		scalar := scalarSim()
-		scalarRes, err := scalar.EvaluateTimingAll(tm, kinds)
-		if err != nil {
-			t.Fatalf("%s: scalar: %v", name, err)
+	// Lengths on every word-boundary edge — one bit short of a word, one
+	// full word, a partial tail, many words — with busy units, ports,
+	// buses and latches plus a steady stream of scheduled events.
+	for _, n := range []int{63, 64, 1000} {
+		usages := make([]cpu.Usage, n)
+		for c := range usages {
+			usages[c] = cpu.Usage{
+				IssueCount: c % 4, CommitCount: c % 5, FetchCount: c % 9,
+				IntALUBusy: uint32(c) & 0x3f, DPortUsed: c % 3, ResultBus: c % 5,
+				WindowOccupancy: c % 129,
+				BackLatch:       []int{c % 3, c % 4, c % 5, c % 2, c % 7},
+			}
 		}
-		packed := NewSimulator(DefaultMachine())
-		packedRes, err := packed.EvaluateTimingPacked(tm, kinds)
-		if err != nil {
-			t.Fatalf("%s: packed: %v", name, err)
+		events := map[int][]cpu.IssueEvent{}
+		for c := 0; c+4 < n; c += 13 {
+			events[c] = []cpu.IssueEvent{{
+				FUIdx: c % 4, FUType: cpu.FUType(c % int(cpu.NumFUTypes)),
+				FUStart: uint64(c + 2), FULat: 1 + c%3,
+				IsLoad: true, DPortCycle: uint64(c + 3),
+				WritesReg: true, ResultBusCycle: uint64(c + 4),
+			}}
 		}
-		for i, kind := range kinds {
-			assertBitIdentical(t, name+"/"+kind.String(), scalarRes[i], packedRes[i])
-		}
+		traces[fmt.Sprintf("word-boundary-%d", n)] = craftTiming(t, usages, events)
+	}
 
-		scalarSub, err := scalar.EvaluateTimingSchemes(tm, allDCGSubsets())
-		if err != nil {
-			t.Fatalf("%s: scalar subsets: %v", name, err)
-		}
-		packedSub, ok, err := packed.evalPackedSchemes(tm, allDCGSubsets())
-		if err != nil {
-			t.Fatalf("%s: packed subsets: %v", name, err)
-		}
-		if !ok {
-			t.Fatalf("%s: subsets not packed-evaluable", name)
-		}
-		for i := range packedSub {
-			assertBitIdentical(t, name+"/"+packedSub[i].Scheme, scalarSub[i], packedSub[i])
-		}
+	for name, tm := range traces {
+		t.Run(name, func(t *testing.T) {
+			scalar := scalarSim()
+			scalarRes, err := scalar.EvaluateTimingAll(tm, kinds)
+			if err != nil {
+				t.Fatalf("scalar: %v", err)
+			}
+			packed := NewSimulator(DefaultMachine())
+			packedRes, err := packed.EvaluateTimingPacked(tm, kinds)
+			if err != nil {
+				t.Fatalf("packed: %v", err)
+			}
+			for i, kind := range kinds {
+				assertBitIdentical(t, kind.String(), scalarRes[i], packedRes[i])
+			}
+
+			scalarSub, err := scalar.EvaluateTimingSchemes(tm, allDCGSubsets())
+			if err != nil {
+				t.Fatalf("scalar subsets: %v", err)
+			}
+			packedSub, ok, err := packed.evalPackedSchemes(tm, allDCGSubsets())
+			if err != nil {
+				t.Fatalf("packed subsets: %v", err)
+			}
+			if !ok {
+				t.Fatal("subsets not packed-evaluable")
+			}
+			for i := range packedSub {
+				assertBitIdentical(t, packedSub[i].Scheme, scalarSub[i], packedSub[i])
+			}
+		})
 	}
 
 	// The saturated trace must actually report violations — silence here
@@ -241,9 +273,9 @@ func TestPackedReplayAdversarialTraces(t *testing.T) {
 
 // TestPackedReplayRouting pins the automatic routing and its counters:
 // eligible sets ride the packed kernel, a machine-mismatched scheme in a
-// mixed set falls back to the scalar engine alone (split-set routing)
-// with identical results, and the strict entry refuses what it cannot
-// pack.
+// mixed set falls back to the scalar engine alone while the rest of the
+// set stays packed, every result in the mixed set equals the scalar
+// engine's, and the strict entry refuses what it cannot pack.
 func TestPackedReplayRouting(t *testing.T) {
 	sim := NewSimulator(DefaultMachine())
 	sim.Warmup = 10_000
@@ -270,35 +302,45 @@ func TestPackedReplayRouting(t *testing.T) {
 		t.Fatalf("eligible set recorded %d fallbacks, want 0", got)
 	}
 
-	// A scheme built for a foreign machine: ineligible, so the automatic
-	// route splits the set — the eligible scheme still rides the packed
-	// kernel while only the mismatched one takes the scalar engine — and
-	// both return correct results.
+	// A scheme built for a foreign machine is ineligible, so the
+	// automatic route splits the set: the eligible schemes still ride the
+	// packed kernel while only the mismatched one takes the scalar engine,
+	// and every result equals the scalar engine's.
 	other := DefaultMachine()
 	other.IssueWidth = 4
-	mixed := []gating.Scheme{gating.NewDCG(DefaultMachine()), gating.NewDCG(other)}
+	mixed := []gating.Scheme{
+		gating.NewDCG(DefaultMachine()),
+		gating.NewDCG(other),
+		gating.NewOracle(DefaultMachine()),
+	}
 	results, err := sim.EvaluateTimingSchemes(tm, mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 {
-		t.Fatalf("fallback evaluation returned %d results, want 2", len(results))
+	if len(results) != len(mixed) {
+		t.Fatalf("mixed evaluation returned %d results, want %d", len(results), len(mixed))
 	}
 	if got := PackedReplayFallbacks() - fallback0; got != 1 {
 		t.Fatalf("fallback counter advanced %d, want 1 (only the mismatched scheme)", got)
 	}
-	if got := PackedReplaySchemes() - packed0; got != uint64(len(kinds))+1 {
-		t.Fatalf("packed-scheme counter advanced %d, want %d (eligible half of the mixed set)",
-			got, len(kinds)+1)
+	if got := PackedReplaySchemes() - packed0; got != uint64(len(kinds))+2 {
+		t.Fatalf("packed-scheme counter advanced %d, want %d (eligible part of the mixed set)",
+			got, len(kinds)+2)
 	}
 	if got := usagetrace.FusedSchemes() - fused0; got != 1 {
 		t.Fatalf("fallback fed %d scalar sinks, want 1", got)
 	}
-	reference, err := sim.EvaluateTimingScheme(tm, gating.NewDCG(DefaultMachine()))
+	reference, err := scalarSim().EvaluateTimingSchemes(tm, []gating.Scheme{
+		gating.NewDCG(DefaultMachine()),
+		gating.NewDCG(other),
+		gating.NewOracle(DefaultMachine()),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, "fallback/dcg", reference, results[0])
+	for i := range mixed {
+		assertBitIdentical(t, fmt.Sprintf("mixed[%d]/%s", i, results[i].Scheme), reference[i], results[i])
+	}
 
 	// Strict entry: refuses PLB, a telemetry simulator, and a disabled
 	// one — it must never silently hand back scalar results.

@@ -158,13 +158,14 @@ func TestValueDependentSchemesSaveLatchPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	kinds := []SchemeKind{SchemeDCG, SchemeDDCG, SchemeDCGDDCG, SchemeLector}
+	results, err := sim.EvaluateTimingAll(tm, kinds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := map[SchemeKind]*Result{}
-	for _, k := range []SchemeKind{SchemeDCG, SchemeDDCG, SchemeDCGDDCG, SchemeLector} {
-		r, err := sim.EvaluateTiming(tm, k)
-		if err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		res[k] = r
+	for i, k := range kinds {
+		res[k] = results[i]
 	}
 	if s := res[SchemeDDCG].LatchSaving(); s <= 0 {
 		t.Errorf("ddcg latch saving %.4f, want positive", s)
@@ -172,7 +173,7 @@ func TestValueDependentSchemesSaveLatchPower(t *testing.T) {
 	if d, h := res[SchemeDCG].LatchSaving(), res[SchemeDCGDDCG].LatchSaving(); h < d {
 		t.Errorf("dcg+ddcg latch saving %.4f below plain dcg %.4f", h, d)
 	}
-	for _, k := range []SchemeKind{SchemeDCG, SchemeDDCG, SchemeDCGDDCG, SchemeLector} {
+	for _, k := range kinds {
 		if res[k].GateViolations != 0 {
 			t.Errorf("%v: %d gate violations on a clean capture", k, res[k].GateViolations)
 		}

@@ -1,45 +1,44 @@
 package core
 
-// This file is the fused multi-scheme replay engine: one decoded trace
-// pass evaluates any number of timing-neutral schemes at once. The
-// sequential EvaluateTiming path in core.go re-decodes the encoded
-// stream per scheme; the entry points here decode at most once per
-// Timing (usagetrace.Trace.Decode is memoized) and fan each cycle out
-// to every scheme's gating controller and power accountant, producing
-// Results bit-identical to sequential replays (golden-tested).
+// This file is the replay entry point: one evaluation of any number of
+// timing-neutral schemes against a captured timing, over the trace's
+// columnar decode (usagetrace.Trace.Decode, memoized per trace). Each
+// scheme rides one of two engines:
+//
+//   - the packed kernel (packed.go), which derives the scheme's tally
+//     from decode-time bit-planes and aggregates without a per-cycle
+//     pass; and
+//   - the fused scalar engine, which replays the decode cycle by cycle
+//     through every remaining scheme's gating controller and power
+//     accountant in a single pass.
+//
+// The scalar engine is the reference: golden tests hold it bit-identical
+// to direct runs and the packed kernel bit-identical to it.
 
 import (
 	"fmt"
-	"sync"
 
 	"dcg/internal/gating"
 	"dcg/internal/power"
 	"dcg/internal/usagetrace"
 )
 
-// ReplayMulti replays this timing's captured trace through every sink in
-// a single pass. The trace is decoded into columnar form at most once
-// per Timing — concurrent and repeated callers share the memoized
-// decode — and each sink observes exactly the cycle stream a sequential
-// usagetrace.Replay would deliver. Returns the replayed cycle count.
-func (t *Timing) ReplayMulti(sinks ...usagetrace.Sink) (uint64, error) {
-	if t == nil || t.Trace == nil {
-		return 0, fmt.Errorf("core: fused replay requires a captured timing trace")
-	}
-	d, err := t.Trace.Decode()
+// EvaluateTimingAll evaluates every given timing-neutral scheme kind
+// against one captured timing, returning one Result per kind in order.
+// Each Result is bit-identical to a direct run of that scheme; the trace
+// is decoded at most once and scanned at most once however many schemes
+// ride the evaluation.
+func (s *Simulator) EvaluateTimingAll(t *Timing, kinds []SchemeKind) ([]*Result, error) {
+	schemes, err := s.replaySchemes(kinds)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return usagetrace.ReplayAll(d, sinks...), nil
+	return s.EvaluateTimingSchemes(t, schemes)
 }
 
-// EvaluateTimingAll evaluates every given timing-neutral scheme kind
-// against one captured timing in a single fused replay pass, returning
-// one Result per kind in order. Equivalent to — and bit-identical with —
-// calling EvaluateTiming once per kind, but the trace is decoded at most
-// once and scanned exactly once regardless of how many schemes ride the
-// pass.
-func (s *Simulator) EvaluateTimingAll(t *Timing, kinds []SchemeKind) ([]*Result, error) {
+// replaySchemes instantiates the given kinds for replay, refusing any
+// kind that changes timing.
+func (s *Simulator) replaySchemes(kinds []SchemeKind) ([]gating.Scheme, error) {
 	schemes := make([]gating.Scheme, len(kinds))
 	for i, k := range kinds {
 		if !TimingNeutral(k) {
@@ -51,7 +50,7 @@ func (s *Simulator) EvaluateTimingAll(t *Timing, kinds []SchemeKind) ([]*Result,
 		}
 		schemes[i] = sc
 	}
-	return s.EvaluateTimingSchemes(t, schemes)
+	return schemes, nil
 }
 
 // EvaluateTimingSchemes is EvaluateTimingAll with caller-provided scheme
@@ -59,13 +58,16 @@ func (s *Simulator) EvaluateTimingAll(t *Timing, kinds []SchemeKind) ([]*Result,
 // — fresh, never throttling, deriving state only from the events and
 // usage vectors it is fed.
 //
-// When the simulator carries Telemetry the evaluation falls back to
-// sequential per-scheme replays: a telemetry recorder observes one
-// scheme's run, and feeding it N interleaved schemes would corrupt its
-// per-cycle stream.
+// Each packed-capable scheme is evaluated by the packed kernel, then the
+// rest share one fused scalar pass, all on the calling goroutine. A
+// simulator carrying Telemetry is refused: the recorder observes one
+// scheme's live pass, which a replay does not have.
 func (s *Simulator) EvaluateTimingSchemes(t *Timing, schemes []gating.Scheme) ([]*Result, error) {
 	if t == nil || t.Trace == nil {
 		return nil, fmt.Errorf("core: evaluation requires a captured timing trace")
+	}
+	if s.Telemetry != nil {
+		return nil, fmt.Errorf("core: telemetry requires a live pass; replay cannot feed it")
 	}
 	if len(schemes) == 0 {
 		return nil, nil
@@ -75,74 +77,58 @@ func (s *Simulator) EvaluateTimingSchemes(t *Timing, schemes []gating.Scheme) ([
 			return nil, err
 		}
 	}
-	if s.Telemetry != nil {
-		results := make([]*Result, len(schemes))
-		for i, scheme := range schemes {
-			res, err := s.EvaluateTimingScheme(t, scheme)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-		}
-		return results, nil
-	}
-
-	// Split-set routing: every packed-capable scheme rides the
-	// scheme×shard kernel pool (bit-identical results, golden-tested);
-	// the rest share one scalar fused pass. A mixed set runs both engines
-	// concurrently — the scalar subset on its own goroutine — since both
-	// only read the immutable decoded trace.
-	plans, _, err := s.planPackedSchemes(t, schemes)
+	d, err := replayDecode(t)
 	if err != nil {
 		return nil, err
 	}
-	var packedIdx, scalarIdx []int
-	for i := range schemes {
-		if plans != nil && plans[i].Valid() {
-			packedIdx = append(packedIdx, i)
-		} else {
-			scalarIdx = append(scalarIdx, i)
-		}
-	}
-	if plans != nil && len(scalarIdx) > 0 {
-		packedFallbackCount.Add(uint64(len(scalarIdx)))
-	}
 
 	results := make([]*Result, len(schemes))
-	if len(packedIdx) == 0 {
-		if err := s.evalScalarSubset(t, schemes, scalarIdx, results); err != nil {
+	var scalarIdx []int
+	for i, scheme := range schemes {
+		if s.DisablePackedReplay {
+			scalarIdx = append(scalarIdx, i)
+			continue
+		}
+		res, ok, err := s.packedResult(t, d, scheme)
+		if err != nil {
 			return nil, err
 		}
-		return results, nil
+		if !ok {
+			packedFallbackCount.Add(1)
+			scalarIdx = append(scalarIdx, i)
+			continue
+		}
+		packedSchemeCount.Add(1)
+		results[i] = res
 	}
-
-	var scalarErr error
-	var wg sync.WaitGroup
 	if len(scalarIdx) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scalarErr = s.evalScalarSubset(t, schemes, scalarIdx, results)
-		}()
-	}
-	packedErr := s.runPackedPlans(t, schemes, packedIdx, plans, results)
-	wg.Wait()
-	if packedErr != nil {
-		return nil, packedErr
-	}
-	if scalarErr != nil {
-		return nil, scalarErr
+		if err := s.evalScalarSubset(t, d, schemes, scalarIdx, results); err != nil {
+			return nil, err
+		}
 	}
 	return results, nil
 }
 
-// evalScalarSubset runs the scalar fused engine over the schemes
+// replayDecode returns the timing's memoized columnar decode, checked
+// against the timing pass's cycle count.
+func replayDecode(t *Timing) (*usagetrace.Decoded, error) {
+	d, err := t.Trace.Decode()
+	if err != nil {
+		return nil, err
+	}
+	if d.Cycles() != t.CPUStats.Cycles {
+		return nil, fmt.Errorf("core: trace replays %d cycles but timing ran %d",
+			d.Cycles(), t.CPUStats.Cycles)
+	}
+	return d, nil
+}
+
+// evalScalarSubset runs the fused scalar engine over the schemes
 // selected by idx, writing each Result into results[i]. One power model
 // + accountant lane per scheme: the lanes are fully independent
 // (construction is deterministic, replay state is per-lane), so each
-// lane integrates exactly the float sequence its sequential replay
-// would.
-func (s *Simulator) evalScalarSubset(t *Timing, schemes []gating.Scheme, idx []int, results []*Result) error {
+// lane integrates exactly the float sequence a direct run would.
+func (s *Simulator) evalScalarSubset(t *Timing, d *usagetrace.Decoded, schemes []gating.Scheme, idx []int, results []*Result) error {
 	models := make([]*power.Model, len(idx))
 	accts := make([]*power.Accountant, len(idx))
 	sinks := make([]usagetrace.Sink, len(idx))
@@ -159,13 +145,7 @@ func (s *Simulator) evalScalarSubset(t *Timing, schemes []gating.Scheme, idx []i
 		sinks[j] = usagetrace.Sink{Issue: scheme, Cycle: acct}
 	}
 
-	cycles, err := t.ReplayMulti(sinks...)
-	if err != nil {
-		return err
-	}
-	if cycles != t.CPUStats.Cycles {
-		return fmt.Errorf("core: trace replays %d cycles but timing ran %d", cycles, t.CPUStats.Cycles)
-	}
+	usagetrace.ReplayAll(d, sinks...)
 
 	for j, i := range idx {
 		scheme := schemes[i]

@@ -19,16 +19,6 @@ package gating
 // The tallies are exact — integer sums plus float series reproduced in
 // the scalar accountant's operation order — so Results derived from them
 // are bit-identical to scalar replay (golden-tested in internal/core).
-//
-// The evaluation is also data-parallel: PackedTallyPlan splits a
-// scheme's tally into a closed-form base plus word-range work
-// (PackedPlan.Shard) whose per-shard results merge by commutative
-// addition, so any shard partition — including none, the serial
-// PackedTally — produces the identical tally. The one float series (the
-// oracle's issue-queue fraction) is sharded only when the packed view
-// proves no summation order can round (IssueQueueFracExact); otherwise
-// it is computed sequentially at Finish time, preserving bit-identity
-// across worker counts either way.
 
 import (
 	"math/bits"
@@ -47,237 +37,91 @@ import (
 // Observed carries a telemetry recorder), a scheme built for a different
 // machine than the trace's, or a bus schedule exceeding the histogram's
 // exact range. The scheme instance is never mutated.
-//
-// This is the single-shard composition of the plan API below: planning
-// the scheme and evaluating one shard spanning every word is, by
-// construction, the serial kernel.
 func PackedTally(d *usagetrace.Decoded, s Scheme, machine config.Config) (t power.Tally, lead uint64, ok bool) {
-	var pl PackedPlan
-	if !PackedTallyPlan(d, s, machine, &pl) {
-		return power.Tally{}, 0, false
-	}
-	t, lead = pl.Finish(pl.Shard(0, pl.Words()))
-	return t, lead, true
-}
-
-// PackedPlan is a scheme's packed evaluation split into its order-free
-// parts: a base tally holding every closed-form and decode-time
-// aggregate term, plus the word-range work (violation-plane popcounts,
-// lector stage-occupancy counts, the oracle's issue-queue float series)
-// that Shard evaluates over contiguous word ranges and Finish folds
-// back in. Shards of one plan are independent and may run concurrently;
-// merging their results by commutative addition and finishing yields a
-// tally bit-identical to the serial kernel's for any shard partition
-// (the float series is only sharded when Packed.IssueQueueFracExact
-// proves no summation order can round; otherwise Finish computes it
-// sequentially itself, keeping every worker count bit-identical).
-//
-// A plan only reads the immutable Packed view — building it never
-// mutates the scheme — and the zero PackedPlan is invalid (Valid
-// reports false) until PackedTallyPlan fills it.
-type PackedPlan struct {
-	p    *usagetrace.Packed
-	base power.Tally
-	lead uint64
-
-	// planes are the gate-violation predicates to OR and popcount; at
-	// most 5 (units, latches, dcache, and two bus planes when gated).
-	planes  [5][]uint64
-	nplanes int
-
-	// lectorStages > 0 marks a stage-occupancy plan needing the
-	// latch-non-zero counts; width is the machine's issue width.
-	lectorStages int
-	width        int
-
-	// qActive marks an issue-queue-gating plan (oracle); the float
-	// series is sharded only when qExact holds.
-	qWindow int
-	qActive bool
-	qExact  bool
-}
-
-// PackedShard is one word range's contribution to a plan: violation
-// cycles, lector stage counts, and the exact-shardable float series.
-// Zero is the empty range's value.
-type PackedShard struct {
-	Viol  uint64
-	NZ    int64
-	AnyNZ int64
-	QFrac float64
-}
-
-// Add accumulates another shard's contribution. All fields are plain
-// sums; QFrac addition is exact (hence order-free) whenever the plan
-// set qExact — the only case in which shards carry it.
-func (sh *PackedShard) Add(o PackedShard) {
-	sh.Viol += o.Viol
-	sh.NZ += o.NZ
-	sh.AnyNZ += o.AnyNZ
-	sh.QFrac += o.QFrac
-}
-
-// Valid reports whether the plan was successfully built.
-func (pl *PackedPlan) Valid() bool { return pl.p != nil }
-
-// Words returns the plan's plane length in words; Shard ranges
-// partition [0, Words()).
-func (pl *PackedPlan) Words() int {
-	if pl.p == nil {
-		return 0
-	}
-	return pl.p.Words()
-}
-
-// PackedTallyPlan builds the scheme's packed evaluation plan into *pl,
-// reporting false — with *pl left invalid — exactly when PackedTally
-// would report ok=false. The scheme instance is never mutated.
-func PackedTallyPlan(d *usagetrace.Decoded, s Scheme, machine config.Config, pl *PackedPlan) bool {
-	*pl = PackedPlan{}
 	p := d.Packed()
 	if p == nil || d.BackLatchStages() != machine.BackEndLatchStages() {
-		return false
+		return power.Tally{}, 0, false
 	}
+	// The gate-violation predicates: at most 5 (units, latches, dcache,
+	// and two bus planes when gated).
+	viol := make([][]uint64, 0, 5)
 	switch sc := s.(type) {
 	case *None:
 		if sc.cfg != machine {
-			return false
+			return power.Tally{}, 0, false
 		}
-		pl.p = p
-		pl.base = fullTally(p, machine)
-		pl.base.ControlCycles = 0
-		pl.addOverFullPlanes(machine)
-		return true
+		t = fullTally(p, machine)
+		t.ControlCycles = 0
+		viol = appendOverFull(viol, p, machine)
 	case *DCG:
 		if sc.cfg != machine {
-			return false
+			return power.Tally{}, 0, false
 		}
-		if !pl.planDCG(p, machine, sc.opts) {
-			*pl = PackedPlan{}
-			return false
+		if t, viol, ok = dcgTally(p, machine, sc.opts, viol); !ok {
+			return power.Tally{}, 0, false
 		}
-		pl.lead = p.LeadViolations()
-		return true
+		lead = p.LeadViolations()
 	case *Oracle:
 		if sc.cfg != machine || sc.frontDepth < 1 {
-			return false
+			return power.Tally{}, 0, false
 		}
-		if !pl.planDCG(p, machine, AllDCGOptions()) {
-			*pl = PackedPlan{}
-			return false
+		if t, viol, ok = dcgTally(p, machine, AllDCGOptions(), viol); !ok {
+			return power.Tally{}, 0, false
 		}
-		pl.lead = p.LeadViolations()
-		pl.qActive = true
-		pl.qWindow = machine.WindowSize
-		pl.qExact = p.IssueQueueFracExact(machine.WindowSize)
-		pl.base.IssueQueueFracSum = 0
-		pl.base.FrontFullCycles = 0
-		pl.base.FrontSlotsOn = p.FrontSlotsSum(sc.frontDepth)
-		return true
+		lead = p.LeadViolations()
+		t.IssueQueueFracSum = p.IssueQueueFracSum(machine.WindowSize)
+		t.FrontFullCycles = 0
+		t.FrontSlotsOn = p.FrontSlotsSum(sc.frontDepth)
 	case *Lector:
 		if sc.cfg != machine {
-			return false
+			return power.Tally{}, 0, false
 		}
-		pl.p = p
-		pl.base = fullTally(p, machine)
-		pl.base.ControlCycles = 0
-		pl.lectorStages = machine.BackEndLatchStages()
-		pl.width = machine.IssueWidth
-		pl.addOverFullPlanes(machine)
-		return true
+		t = fullTally(p, machine)
+		t.ControlCycles = 0
+		lectorOccupancy(p, machine, &t)
+		viol = appendOverFull(viol, p, machine)
+	default:
+		return power.Tally{}, 0, false
 	}
-	return false
+	t.GateViolations = p.ViolationCycles(viol...)
+	return t, lead, true
 }
 
-// Shard evaluates the plan's word-range work over words [lo, hi),
-// clamped to the plane length; an empty (or fully clamped) range yields
-// the zero shard, so a caller may split Words() into more shards than
-// there are words.
-func (pl *PackedPlan) Shard(lo, hi int) PackedShard {
-	var sh PackedShard
-	if hi > pl.p.Words() {
-		hi = pl.p.Words()
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if lo >= hi {
-		return sh
-	}
-	if pl.nplanes > 0 {
-		for w := lo; w < hi; w++ {
-			union := uint64(0)
-			for i := 0; i < pl.nplanes; i++ {
-				union |= pl.planes[i][w]
-			}
-			sh.Viol += uint64(bits.OnesCount64(union))
+// lectorOccupancy fills the lector scheme's stage-level latch terms in
+// closed form: an occupied stage burns width slots, an empty one zero,
+// and the control-gate count is the empty-stage total with the all-idle
+// cycles collapsed to the single master gate — exactly the scalar Gates
+// rule.
+func lectorOccupancy(p *usagetrace.Packed, cfg config.Config, t *power.Tally) {
+	stages := cfg.BackEndLatchStages()
+	var nz, anyNZ int64
+	for w := 0; w < p.Words(); w++ {
+		union := uint64(0)
+		for s := 0; s < stages; s++ {
+			v := p.LatchNonZeroPlane(s)[w]
+			nz += int64(bits.OnesCount64(v))
+			union |= v
 		}
+		anyNZ += int64(bits.OnesCount64(union))
 	}
-	if pl.lectorStages > 0 {
-		for w := lo; w < hi; w++ {
-			union := uint64(0)
-			for s := 0; s < pl.lectorStages; s++ {
-				v := pl.p.LatchNonZeroPlane(s)[w]
-				sh.NZ += int64(bits.OnesCount64(v))
-				union |= v
-			}
-			sh.AnyNZ += int64(bits.OnesCount64(union))
-		}
+	n := int64(p.Cycles())
+	st := int64(stages)
+	t.BackSlotsOn = int64(cfg.IssueWidth) * nz
+	gateCycles := st*n - nz
+	if st > 1 {
+		gateCycles -= (n - anyNZ) * (st - 1)
 	}
-	if pl.qActive && pl.qExact {
-		sh.QFrac = pl.p.IssueQueueFracSumRange(pl.qWindow, uint64(lo)*64, uint64(hi)*64)
-	}
-	return sh
+	t.ControlGateCycles = gateCycles
 }
 
-// Finish folds the merged shard contributions into the base tally and
-// returns the scheme's tally and lead-violation count. For an oracle
-// plan whose float series is not exactly shardable, Finish computes the
-// sequential sum here — one ordering, whatever the worker count.
-func (pl *PackedPlan) Finish(total PackedShard) (power.Tally, uint64) {
-	t := pl.base
-	t.GateViolations = total.Viol
-	if pl.lectorStages > 0 {
-		// Stage-level occupancy in closed form: an occupied stage burns
-		// width slots, an empty one zero, and the control-gate count is
-		// the empty-stage total with the all-idle cycles collapsed to the
-		// single master gate — exactly the scalar Gates rule.
-		n := int64(pl.p.Cycles())
-		stages := int64(pl.lectorStages)
-		t.BackSlotsOn = int64(pl.width) * total.NZ
-		gateCycles := stages*n - total.NZ
-		if stages > 1 {
-			gateCycles -= (n - total.AnyNZ) * (stages - 1)
-		}
-		t.ControlGateCycles = gateCycles
-	}
-	if pl.qActive {
-		if pl.qExact {
-			t.IssueQueueFracSum = total.QFrac
-		} else {
-			t.IssueQueueFracSum = pl.p.IssueQueueFracSum(pl.qWindow)
-		}
-	}
-	return t, pl.lead
-}
-
-// addPlane records a violation plane; nil planes (the "no violation
-// possible" result of the lazy builders) are dropped here, so Shard
-// never tests them.
-func (pl *PackedPlan) addPlane(w []uint64) {
-	if w != nil {
-		pl.planes[pl.nplanes] = w
-		pl.nplanes++
-	}
-}
-
-// addOverFullPlanes records the four ungated-class capacity predicates
-// (the violation set of the baseline and lector schemes).
-func (pl *PackedPlan) addOverFullPlanes(cfg config.Config) {
-	pl.addPlane(pl.p.OverFullUnits(fuCounts(cfg)))
-	pl.addPlane(pl.p.OverFullDPorts(cfg.DL1.Ports))
-	pl.addPlane(pl.p.OverFullBus(cfg.IssueWidth))
-	pl.addPlane(pl.p.OverFullLatch(cfg.IssueWidth))
+// appendOverFull appends the four ungated-class capacity predicates (the
+// violation set of the baseline and lector schemes).
+func appendOverFull(viol [][]uint64, p *usagetrace.Packed, cfg config.Config) [][]uint64 {
+	return append(viol,
+		p.OverFullUnits(fuCounts(cfg)),
+		p.OverFullDPorts(cfg.DL1.Ports),
+		p.OverFullBus(cfg.IssueWidth),
+		p.OverFullLatch(cfg.IssueWidth))
 }
 
 // fuCounts collects the machine's FU pool sizes indexed by cpu.FUType.
@@ -314,22 +158,22 @@ func fullTally(p *usagetrace.Packed, cfg config.Config) power.Tally {
 	return t
 }
 
-// planDCG builds the plan of a DCG controller with the given ablation
+// dcgTally is the tally of a DCG controller with the given ablation
 // options: each gated class reads the decode-time schedule aggregates,
 // each ungated class the full-capacity terms, and the violation planes
-// are exactly the planes the scalar accountant's per-cycle predicate
-// would test.
-func (pl *PackedPlan) planDCG(p *usagetrace.Packed, cfg config.Config, opts DCGOptions) bool {
-	pl.p = p
+// appended to viol are exactly the planes the scalar accountant's
+// per-cycle predicate would test. ok is false when the bus schedule
+// exceeds the histogram's exact range.
+func dcgTally(p *usagetrace.Packed, cfg config.Config, opts DCGOptions, viol [][]uint64) (power.Tally, [][]uint64, bool) {
 	t := fullTally(p, cfg)
 
 	if opts.GateUnits {
 		for ft := 0; ft < int(cpu.NumFUTypes); ft++ {
 			t.UnitOn[ft] = p.UnitSchedOnSum(cpu.FUType(ft))
 		}
-		pl.addPlane(p.UnitSchedViolationPlane())
+		viol = append(viol, p.UnitSchedViolationPlane())
 	} else {
-		pl.addPlane(p.OverFullUnits(fuCounts(cfg)))
+		viol = append(viol, p.OverFullUnits(fuCounts(cfg)))
 	}
 
 	if opts.GateLatches {
@@ -337,30 +181,29 @@ func (pl *PackedPlan) planDCG(p *usagetrace.Packed, cfg config.Config, opts DCGO
 		// Gated latches copy the usage vector: enabled slots always cover
 		// used slots, no violation plane.
 	} else {
-		pl.addPlane(p.OverFullLatch(cfg.IssueWidth))
+		viol = append(viol, p.OverFullLatch(cfg.IssueWidth))
 	}
 
 	if opts.GateDCache {
 		t.DPortsOn = p.DPortSchedSum()
-		pl.addPlane(p.DPortSchedViolationPlane())
+		viol = append(viol, p.DPortSchedViolationPlane())
 	} else {
-		pl.addPlane(p.OverFullDPorts(cfg.DL1.Ports))
+		viol = append(viol, p.OverFullDPorts(cfg.DL1.Ports))
 	}
 
 	if opts.GateBus {
 		sum, ok := p.BusSchedCappedSum(cfg.IssueWidth)
 		if !ok {
-			return false
+			return power.Tally{}, nil, false
 		}
 		t.BusOn = sum
 		// Enabled drivers are min(schedule, width): usage can exceed that
 		// by beating the raw schedule or by exceeding the width cap.
-		pl.addPlane(p.BusSchedViolationPlane())
-		pl.addPlane(p.OverFullBus(cfg.IssueWidth))
+		viol = append(viol, p.BusSchedViolationPlane())
+		viol = append(viol, p.OverFullBus(cfg.IssueWidth))
 	} else {
-		pl.addPlane(p.OverFullBus(cfg.IssueWidth))
+		viol = append(viol, p.OverFullBus(cfg.IssueWidth))
 	}
 
-	pl.base = t
-	return true
+	return t, viol, true
 }

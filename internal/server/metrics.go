@@ -149,16 +149,6 @@ func (s *Server) newInstruments() *instruments {
 		"Scheme lanes that fell back from the packed kernel to scalar replay.",
 		func() float64 { return float64(core.PackedReplayFallbacks()) })
 
-	// Parallel-replay instrumentation: shard throughput plus the resolved
-	// worker configuration (replay shards per scheme; also the decode
-	// parallelism — one knob governs both).
-	reg.CounterFunc("dcg_replay_shards_total",
-		"Word-range shard tasks executed by the parallel packed replay engine.",
-		func() float64 { return float64(core.ReplayShardsExecuted()) })
-	reg.GaugeFunc("dcg_replay_parallel_workers",
-		"Configured replay worker count (replay shards per scheme).",
-		func() float64 { return float64(core.ReplayParallelism()) })
-
 	reg.GaugeFunc("go_goroutines", "Number of goroutines.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
 

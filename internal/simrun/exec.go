@@ -256,7 +256,6 @@ func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 			// records the route without racing on the global counters.
 			sp.SetAttr("engine", info.Replay.String())
 		}
-		sp.SetAttrInt("replay_par", int64(core.ReplayParallelism()))
 		if sp != nil && tm.Trace != nil {
 			// Decode is memoized per trace, so forcing it here only moves
 			// the work under its own span: a fresh decode shows up as

@@ -386,3 +386,66 @@ func TestRetryRecovers(t *testing.T) {
 		t.Errorf("full ran %d times, want 2 (fail + retry)", calls.Load())
 	}
 }
+
+// TestResumeAcceptsReplayParRecords: manifests written by earlier
+// releases carry a "replay_par" field (the replay worker count) on every
+// ok record. The field is gone from Record, and such a manifest must
+// still resume — its ok records counted as done — to a results.jsonl
+// byte-identical to an uninterrupted run.
+func TestResumeAcceptsReplayParRecords(t *testing.T) {
+	spec := testSpec()
+	refDir := t.TempDir()
+	engRef, _, _, _ := countingEngine()
+	if _, err := engRef.Start(context.Background(), spec, refDir); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(refDir, ResultsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	engA, _, _, _ := countingEngine()
+	ctx, _ := interruptAfter(engA, 3)
+	sumA, err := engA.Start(ctx, spec, dir)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
+	}
+
+	// Rewrite every ok record the way earlier releases wrote it.
+	path := filepath.Join(dir, ManifestFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	rewritten := 0
+	for i, line := range lines {
+		if strings.Contains(line, `"status":"ok"`) {
+			lines[i] = strings.TrimSuffix(line, "}\n") + `,"replay_par":4}` + "\n"
+			rewritten++
+		}
+	}
+	if rewritten != sumA.Completed || rewritten == 0 {
+		t.Fatalf("rewrote %d ok records, want the %d completed before the kill", rewritten, sumA.Completed)
+	}
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	engB, _, _, _ := countingEngine()
+	sumB, err := engB.Resume(context.Background(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sumB.Done || sumB.Skipped != sumA.Completed {
+		t.Fatalf("resume summary %+v, want done with the %d old ok records skipped", sumB, sumA.Completed)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, ResultsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("resumed results.jsonl differs from uninterrupted run:\n--- resumed\n%s--- reference\n%s", got, want)
+	}
+}

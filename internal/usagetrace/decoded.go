@@ -15,9 +15,9 @@ import (
 // cycle, plus a flattened stream of compact issue events with per-cycle
 // offsets. Replaying from it costs slice reads instead of varint
 // decoding, and a Decoded is immutable after construction, so one decode
-// can serve any number of concurrent replays — the fused engine under
-// every multi-scheme evaluation (core.Timing.ReplayMulti, simrun batch
-// and sweep replays).
+// can serve any number of concurrent replays — the packed kernel and
+// the fused scalar engine under every replay evaluation
+// (core.Simulator.EvaluateTimingAll, simrun batch and sweep replays).
 type Decoded struct {
 	name   string
 	stages int
@@ -318,10 +318,10 @@ type Sink struct {
 }
 
 // ReplayAll replays the decoded trace through every sink in a single
-// pass. Each sink observes exactly the sequence a sequential Replay
-// would deliver — cycle c's issue events strictly before cycle c's
-// usage vector — so per-sink results are bit-identical to one-at-a-time
-// replays; the fusion only shares the decode, the rebuild of each
+// pass. Each sink observes exactly the sequence the live core delivers
+// — cycle c's issue events strictly before cycle c's usage vector — so
+// per-sink results are bit-identical to one-at-a-time runs; the fusion
+// only shares the decode, the rebuild of each
 // cycle's issue events from their compact form, and the per-cycle usage
 // reconstruction across sinks. The usage vector passed to OnCycle is
 // reused between cycles (the live core's contract); sinks must not

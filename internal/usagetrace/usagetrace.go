@@ -8,7 +8,7 @@
 // change when instructions issue, so they all see byte-identical usage
 // and event streams. Capturing that stream once per (workload,
 // machine-timing) turns every additional scheme evaluation into a
-// memory-bandwidth replay (internal/core.Simulator.EvaluateTiming).
+// memory-bandwidth replay (internal/core.Simulator.EvaluateTimingAll).
 //
 // # Format (v2, channelized)
 //
@@ -943,30 +943,4 @@ func (r *Reader) Next() ([]cpu.IssueEvent, *cpu.Usage, error) {
 	}
 	r.rec.fill(&r.u, c, r.latch, r.newVal)
 	return r.events, &r.u, nil
-}
-
-// Replay streams the trace through a gating scheme and an observer in the
-// core's delivery order: each cycle's issue events (lis.OnIssue) strictly
-// before its usage vector (obs.OnCycle). Either consumer may be nil. It
-// returns the replayed cycle count.
-func Replay(r *Reader, lis cpu.IssueListener, obs cpu.Observer) (uint64, error) {
-	var cycles uint64
-	for {
-		events, u, err := r.Next()
-		if err == io.EOF {
-			return cycles, nil
-		}
-		if err != nil {
-			return cycles, err
-		}
-		if lis != nil {
-			for _, ev := range events {
-				lis.OnIssue(ev)
-			}
-		}
-		if obs != nil {
-			obs.OnCycle(u)
-		}
-		cycles++
-	}
 }

@@ -198,7 +198,7 @@ func TestTrailingDataFailsLoudly(t *testing.T) {
 
 func TestReplayDeliversEventsBeforeUsage(t *testing.T) {
 	tr, events, _ := synthCapture(t, 100, 5)
-	rd, err := tr.Reader()
+	d, err := tr.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +208,7 @@ func TestReplayDeliversEventsBeforeUsage(t *testing.T) {
 		_ = ev
 	})
 	obs := observerFunc(func(u *cpu.Usage) { order = append(order, "cycle") })
-	cycles, err := Replay(rd, lis, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cycles != 100 {
+	if cycles := ReplayAll(d, Sink{Issue: lis, Cycle: obs}); cycles != 100 {
 		t.Fatalf("replayed %d cycles, want 100", cycles)
 	}
 	// Reconstruct the expected interleaving: each cycle's events strictly

@@ -271,6 +271,52 @@ func TestPackedReplayAdversarialTraces(t *testing.T) {
 	}
 }
 
+// TestParallelReplayMixedSetSplit drives the split-set route with a
+// genuinely mixed set — packed-capable schemes plus a machine-mismatched
+// one — placing the mismatched scheme first, in the middle and last, and
+// evaluating each order twice on one simulator. Every result must land
+// in its input slot and equal the per-scheme scalar reference.
+func TestParallelReplayMixedSetSplit(t *testing.T) {
+	sim := NewSimulator(DefaultMachine())
+	tm, err := sim.CaptureBenchmark("gzip", 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := DefaultMachine()
+	other.IssueWidth = 4
+	build := func(order []int) []gating.Scheme {
+		makers := []func() gating.Scheme{
+			func() gating.Scheme { return gating.NewDCG(DefaultMachine()) },
+			func() gating.Scheme { return gating.NewDCG(other) },
+			func() gating.Scheme { return gating.NewOracle(DefaultMachine()) },
+		}
+		schemes := make([]gating.Scheme, len(order))
+		for i, m := range order {
+			schemes[i] = makers[m]()
+		}
+		return schemes
+	}
+	for _, order := range [][]int{{1, 0, 2}, {0, 1, 2}, {0, 2, 1}} {
+		reference, err := scalarSim().EvaluateTimingSchemes(tm, build(order))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			res, err := sim.EvaluateTimingSchemes(tm, build(order))
+			if err != nil {
+				t.Fatalf("order=%v pass=%d: %v", order, pass, err)
+			}
+			if len(res) != len(order) {
+				t.Fatalf("order=%v pass=%d: %d results, want %d", order, pass, len(res), len(order))
+			}
+			for i := range order {
+				assertBitIdentical(t, fmt.Sprintf("order=%v/pass=%d/mixed[%d]", order, pass, i),
+					reference[i], res[i])
+			}
+		}
+	}
+}
+
 // TestPackedReplayRouting pins the automatic routing and its counters:
 // eligible sets ride the packed kernel, a machine-mismatched scheme in a
 // mixed set falls back to the scalar engine alone while the rest of the

@@ -233,6 +233,13 @@ func (s *Server) acquireWorker(ctx context.Context) (release func(), err error) 
 	case s.sem <- struct{}{}:
 		s.m.queueDepth.Add(-1)
 		s.m.queueWait.Observe(time.Since(start).Seconds())
+		// A slot freed by a cancelled simulation and this context's end
+		// can be ready together, and select picks between them at
+		// random: never start work for a context that is already done.
+		if err := ctx.Err(); err != nil {
+			<-s.sem
+			return nil, fmt.Errorf("server: queued waiting for a worker: %w", err)
+		}
 		return func() { <-s.sem }, nil
 	case <-ctx.Done():
 		s.m.queueDepth.Add(-1)
